@@ -14,7 +14,6 @@ from .counting import (
     GrowthRate,
     caterpillar_closed_k3,
     caterpillar_count,
-    clear_count_cache,
     count_closed_k1,
     count_closed_k2,
     count_convex,
@@ -73,7 +72,6 @@ __all__ = [
     "caterpillar",
     "caterpillar_closed_k3",
     "caterpillar_count",
-    "clear_count_cache",
     "count_closed_k1",
     "count_closed_k2",
     "count_convex",

@@ -10,12 +10,13 @@ edges with two internal endpoints can ever conflict.
 k exactly once by backtracking over the counting DP's per-edge vectors, so
 no dead branch is ever entered and the stream is output-sensitive.  The
 stream order is lexicographic in the character's canonical edge-usage
-encoding (see :func:`stream_encoding`).
+encoding (see :func:`stream_encoding`).  The backtracker yields block
+bitmasks; only ``enumerate_convex`` turns them into ``Character`` objects.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .counting import _dp_tables
 from .trees import Tree, _ensure_stack
@@ -98,19 +99,28 @@ class Character:
         return hash(self._blocks)
 
 
-def _as_character(f) -> Character:
-    return f if isinstance(f, Character) else Character(f)
-
-
-def _block_masks(tree: Tree, f: Character) -> list[int]:
+def _block_masks(tree: Tree, f) -> list[int]:
+    if not isinstance(f, Character):
+        f = Character(f)
     if f.taxa != tree.taxa:
         raise ValueError("character is not a partition of the tree's taxa")
     return [tree._mask_of(b) for b in f.blocks]
 
 
-def is_convex(tree: Tree, f) -> bool:
-    """True iff the blocks' minimal spanning subtrees are pairwise disjoint."""
-    masks = _block_masks(tree, _as_character(f))
+def _to_character(labels: tuple[str, ...], masks: Iterable[int]) -> Character:
+    out = []
+    for bm in masks:
+        block = []
+        while bm:
+            low = bm & -bm
+            block.append(labels[low.bit_length() - 1])
+            bm ^= low
+        out.append(block)
+    return Character(out)
+
+
+def _convex(tree: Tree, masks: Sequence[int]) -> bool:
+    """Convexity of a partition of the tree's taxa given as block masks."""
     for em in tree._internal_edge_masks():
         crossing = 0
         for bm in masks:
@@ -122,25 +132,17 @@ def is_convex(tree: Tree, f) -> bool:
     return True
 
 
-def parsimony_score(tree: Tree, f) -> int:
-    """Minimum number of edges whose endpoints get different block labels,
-    over all extensions of the leaf labelling to internal vertices (Fitch
-    bottom-up on an arbitrary leaf rooting).
-
-    Always >= block_count - 1, with equality exactly for convex characters.
-    """
-    f = _as_character(f)
-    masks = _block_masks(tree, f)
+def _parsimony(tree: Tree, masks: Sequence[int]) -> int:
+    """Fitch score of a partition given as block masks (see parsimony_score)."""
     n = tree.n
     if n == 1:
         return 0
     block_of = [0] * n
     for bi, bm in enumerate(masks):
-        m = bm
-        while m:
-            low = m & -m
+        while bm:
+            low = bm & -bm
             block_of[low.bit_length() - 1] = bi
-            m ^= low
+            bm ^= low
     rd = tree._rooting()
     states = [0] * tree.num_vertices()
     score = 0
@@ -162,29 +164,36 @@ def parsimony_score(tree: Tree, f) -> int:
     return score
 
 
-def enumerate_convex(tree: Tree, k: int = 1) -> Iterator[Character]:
-    """Stream every convex character of ``tree`` with min block size >= k,
-    exactly once.
+def is_convex(tree: Tree, f) -> bool:
+    """True iff the blocks' minimal spanning subtrees are pairwise disjoint."""
+    return _convex(tree, _block_masks(tree, f))
 
-    Backtracks over the counting DP's per-edge vectors: a branch is entered
-    only when its count is positive, so total work is proportional to the
-    output.  Characters arrive in increasing canonical edge-usage encoding;
-    the stream is single-consumer, but independent streams over the same
-    tree are safe.
+
+def parsimony_score(tree: Tree, f) -> int:
+    """Minimum number of edges whose endpoints get different block labels,
+    over all extensions of the leaf labelling to internal vertices (Fitch
+    bottom-up on an arbitrary leaf rooting).
+
+    Always >= block_count - 1, with equality exactly for convex characters.
     """
+    return _parsimony(tree, _block_masks(tree, f))
+
+
+def _block_stream(tree: Tree, k: int) -> Iterator[tuple[int, ...]]:
+    """Block-mask tuples of every convex character of ``tree`` with min
+    block size >= k, in stream order (see enumerate_convex)."""
     if k < 1:
         raise ValueError("k must be at least 1")
     n = tree.n
     if n < k:
         return
     if n == 1:
-        yield Character([tree.labels])
+        yield (1,)
         return
     _ensure_stack(2 * tree.num_vertices())
     cut, opn = _dp_tables(tree, k)
     rd = tree._rooting()
     children = rd.children
-    labels = tree.labels
 
     def emit_cut(v: int):
         # All taxa below v sit in finished blocks; yields block-mask tuples.
@@ -246,25 +255,29 @@ def enumerate_convex(tree: Tree, k: int = 1) -> Iterator[Character]:
                 for bg, mg, j2 in emit_open(g, j2s):
                     yield bf + bg, mf | mg, min(j1 + j2, k)
 
-    def to_character(blocks: tuple[int, ...]) -> Character:
-        out = []
-        for bm in blocks:
-            block = []
-            while bm:
-                low = bm & -bm
-                block.append(labels[low.bit_length() - 1])
-                bm ^= low
-            out.append(block)
-        return Character(out)
-
     c0 = children[0][0]
     if k == 1 and cut[c0]:
         for blocks in emit_cut(c0):
-            yield to_character(blocks + (1,))
+            yield blocks + (1,)
     js = [j for j in range(max(1, k - 1), k + 1) if opn[c0][j]]
     if js:
         for blocks, om, _ in emit_open(c0, js):
-            yield to_character(blocks + (om | 1,))
+            yield blocks + (om | 1,)
+
+
+def enumerate_convex(tree: Tree, k: int = 1) -> Iterator[Character]:
+    """Stream every convex character of ``tree`` with min block size >= k,
+    exactly once.
+
+    Backtracks over the counting DP's per-edge vectors: a branch is entered
+    only when its count is positive, so total work is proportional to the
+    output.  Characters arrive in increasing canonical edge-usage encoding;
+    the stream is single-consumer, but independent streams over the same
+    tree are safe.
+    """
+    labels = tree.labels
+    for masks in _block_stream(tree, k):
+        yield _to_character(labels, masks)
 
 
 def stream_encoding(tree: Tree, f) -> tuple[int, ...]:
@@ -277,7 +290,7 @@ def stream_encoding(tree: Tree, f) -> tuple[int, ...]:
     distinct encodings, and ``enumerate_convex`` yields in strictly
     increasing encoding order.
     """
-    masks = _block_masks(tree, _as_character(f))
+    masks = _block_masks(tree, f)
     rd = tree._rooting()
     n = tree.n
 

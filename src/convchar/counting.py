@@ -16,19 +16,13 @@ Total work is O(n * k^2) big-int operations.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 from .trees import Tree
 
 PHI = (1 + math.sqrt(5)) / 2
-
-_MEMO: dict[tuple[str, int], int] = {}
-_CATERPILLAR: dict[int, list[int]] = {}
-
-
-def clear_count_cache() -> None:
-    _MEMO.clear()
 
 
 def fibonacci(m: int) -> int:
@@ -123,11 +117,7 @@ def _dp_tables(tree: Tree, k: int) -> tuple[list[int], list[list[int]]]:
 
 def count_convex(tree: Tree, k: int = 1) -> int:
     """Number of convex characters of ``tree`` whose blocks all have >= k
-    taxa.
-
-    Results are memoized per (canonical Newick, k); the cache is shared,
-    insert-only and idempotent, so concurrent readers are safe.
-    """
+    taxa."""
     if k < 1:
         raise ValueError("k must be at least 1")
     n = tree.n
@@ -135,15 +125,10 @@ def count_convex(tree: Tree, k: int = 1) -> int:
         return 0
     if n == 1:
         return 1
-    key = (tree.canonical_newick(), k)
-    hit = _MEMO.get(key)
-    if hit is not None:
-        return hit
     cut, opn = _dp_tables(tree, k)
     c0 = tree._rooting().children[0][0]
     total = cut[c0] if k == 1 else 0
     total += sum(opn[c0][max(1, k - 1):])
-    _MEMO[key] = total
     return total
 
 
@@ -157,16 +142,12 @@ def caterpillar_count(n: int, k: int) -> int:
         raise ValueError("k must be at least 2")
     if n < 0:
         raise ValueError("n must be non-negative")
-    seq = _CATERPILLAR.setdefault(k, [])
-    while len(seq) <= n:
-        m = len(seq)
-        if m < k:
-            seq.append(0)
-        elif m < 2 * k:
-            seq.append(1)
-        else:
-            seq.append(seq[m - 1] + seq[m - k])
-    return seq[n]
+    if n < k:
+        return 0
+    window = deque([1] * k, maxlen=k)  # c(m-k+1..m), starting at m = 2k-1
+    for _ in range(n - 2 * k + 1):
+        window.append(window[-1] + window[0])
+    return window[-1]
 
 
 def fully_loaded_count(n: int, k: int) -> int:
@@ -242,9 +223,6 @@ def rate_table_tsv(kmax: int) -> str:
     )
 
 
-_K3_CLOSED: tuple[float, float] | None = None
-
-
 def _k3_closed_constants() -> tuple[float, float]:
     """(alpha, c) for the size-3 caterpillar closed form c * alpha^n.
 
@@ -252,12 +230,9 @@ def _k3_closed_constants() -> tuple[float, float]:
     31x^3 - 31x^2 + 9x - 1 divided by alpha^3, which rebases the standard
     recurrence constant to taxon counts.
     """
-    global _K3_CLOSED
-    if _K3_CLOSED is None:
-        alpha = growth_rate(3).max_rate
-        num = _bisect_root(lambda x: 31 * x ** 3 - 31 * x ** 2 + 9 * x - 1, 0.0, 1.0)
-        _K3_CLOSED = (alpha, num / alpha ** 3)
-    return _K3_CLOSED
+    alpha = growth_rate(3).max_rate
+    num = _bisect_root(lambda x: 31 * x ** 3 - 31 * x ** 2 + 9 * x - 1, 0.0, 1.0)
+    return alpha, num / alpha ** 3
 
 
 def caterpillar_closed_k3(n: int) -> int:

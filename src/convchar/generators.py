@@ -9,6 +9,7 @@ distribution over labelled binary topologies.
 from __future__ import annotations
 
 import random
+import re
 import string
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -39,9 +40,7 @@ def _rooted_chain(labels: Sequence[str]) -> str:
     """Rooted caterpillar subtree text; spine order follows ``labels``."""
     if len(labels) == 1:
         return labels[0]
-    if len(labels) == 2:
-        return f"({labels[0]},{labels[1]})"
-    return f"({labels[0]},{_rooted_chain(labels[1:])})"
+    return "(" + ",(".join(labels[:-1]) + "," + labels[-1] + ")" * (len(labels) - 1)
 
 
 def caterpillar(n: int, labels: Sequence[str] | None = None) -> Tree:
@@ -248,19 +247,12 @@ def fully_loaded(
     elif spec.n != n or spec.k != k:
         raise ValueError("spec disagrees with n or k")
     parts = spec.parts_dict()
-    scaffold = spec.scaffold
-    if scaffold.n == 1:
-        body = _rooted_chain(parts[scaffold.labels[0]])
-        return parse_newick(body + ";")
-
-    def render(v: int, parent: int) -> str:
-        if scaffold.is_leaf(v):
-            return _rooted_chain(parts[scaffold.labels[v]])
-        subs = [render(u, v) for u in scaffold.neighbors(v) if u != parent]
-        return "(" + ",".join(subs) + ")"
-
-    u = scaffold.neighbors(0)[0]
-    text = f"({render(0, u)},{render(u, 0)});"
+    # Every scaffold leaf label in the scaffold's Newick text becomes its part.
+    text = re.sub(
+        r"[^(),;]+",
+        lambda m: _rooted_chain(parts[m.group()]),
+        spec.scaffold.canonical_newick(),
+    )
     return parse_newick(text)
 
 

@@ -1,10 +1,11 @@
 """Enumeration-driven partition solvers.
 
-Each solver loops over the convex-character stream of one tree, filters or
-scores each character against the whole input, and keeps an incumbent.  No
-branch-and-bound: the point is that any problem which projects down onto
-convex characters gets an exact solver for free, at O(alpha_k^n * poly(n))
-worst case.
+Every solver is one scan (:func:`_scan`) over the block-mask stream of one
+tree's convex characters, with a score function per mode; a ``Character``
+is built only for the answer.  Trees on one taxon set share taxon ids, so a
+block mask names the same taxa in every input tree.  No branch-and-bound:
+any problem which projects down onto convex characters gets an exact solver
+for free, at O(alpha_k^n * poly(n)) worst case.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .characters import Character, enumerate_convex, is_convex, parsimony_score
+from .characters import Character, _block_stream, _convex, _parsimony, _to_character
 from .trees import Tree, parse_newick
 
 MODES = (
@@ -23,13 +24,19 @@ MODES = (
 )
 
 
-def _sum_parsimony(f: Character, trees: Sequence[Tree]) -> int:
-    return sum(parsimony_score(t, f) for t in trees)
+def _sum_parsimony(masks: tuple[int, ...], trees: Sequence[Tree]) -> int:
+    return sum(_parsimony(t, masks) for t in trees)
 
 
-OBJECTIVES: dict[str, Callable[[Character, Sequence[Tree]], int]] = {
+OBJECTIVES: dict[str, Callable[[tuple[int, ...], Sequence[Tree]], int]] = {
     "sum_parsimony": _sum_parsimony,
 }
+
+
+def _require_same_taxa(trees: Sequence[Tree]) -> None:
+    taxa = trees[0].taxa
+    if any(t.taxa != taxa for t in trees[1:]):
+        raise ValueError("all trees must share the same taxon set")
 
 
 @dataclass(frozen=True)
@@ -46,9 +53,7 @@ class SolveInstance:
             raise ValueError("instance needs at least one tree")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        taxa = self.trees[0].taxa
-        if any(t.taxa != taxa for t in self.trees):
-            raise ValueError("all trees must share the same taxon set")
+        _require_same_taxa(self.trees)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SolveInstance":
@@ -83,10 +88,57 @@ class SolveResult:
         }
 
 
-def _require_same_taxa(trees: Sequence[Tree]) -> None:
-    taxa = trees[0].taxa
-    if any(t.taxa != taxa for t in trees[1:]):
-        raise ValueError("taxon sets differ between input trees")
+def _restricted_splits(tree: Tree, block: int) -> frozenset[int]:
+    """Nontrivial splits of ``tree`` restricted to the taxa of ``block``,
+    each given by its side without the block's smallest taxon.  Two trees
+    on one taxon set restrict to the same tree on ``block`` exactly when
+    these sets are equal."""
+    low = block & -block
+    size = block.bit_count()
+    out = set()
+    for em in tree._internal_edge_masks():
+        side = em & block
+        if side & low:
+            side ^= block
+        if 1 < side.bit_count() < size - 1:
+            out.add(side)
+    return frozenset(out)
+
+
+def _agree(trees: Sequence[Tree], masks: tuple[int, ...]) -> bool:
+    """True iff the character is convex on every tree after the first (the
+    scanned one) and each block restricts to the same tree in all of them."""
+    return all(_convex(t, masks) for t in trees[1:]) and all(
+        len({_restricted_splits(t, b) for t in trees}) == 1 for b in masks
+    )
+
+
+def _scan(tree: Tree, k: int, score: Callable, first_only: bool = False) -> SolveResult:
+    """Score every level-k convex character of ``tree`` and keep the first
+    one with the lowest value; with ``first_only``, stop at the first
+    accepted one.
+
+    ``score(masks, best)`` gets the block masks and the incumbent value
+    (None before the first hit) and returns the character's value, or None
+    to reject it.
+    """
+    start = time.perf_counter()
+    best: tuple[int, ...] | None = None
+    best_value: int | None = None
+    scanned = 0
+    for masks in _block_stream(tree, k):
+        scanned += 1
+        value = score(masks, best_value)
+        if value is not None and (best_value is None or value < best_value):
+            best, best_value = masks, value
+            if first_only:
+                break
+    return SolveResult(
+        character=None if best is None else _to_character(tree.labels, best),
+        objective_value=best_value,
+        characters_scanned=scanned,
+        wall_time=time.perf_counter() - start,
+    )
 
 
 def agreement_forest_min_components(t1: Tree, t2: Tree, k: int = 1) -> SolveResult:
@@ -95,30 +147,17 @@ def agreement_forest_min_components(t1: Tree, t2: Tree, k: int = 1) -> SolveResu
 
     Scans every level-k convex character of t1; a character qualifies when
     it is also convex on t2 and each block restricts to identical subtrees
-    in both (canonical Newick equality).  The full stream is scanned, so
+    in both (equal restricted split sets).  The full stream is scanned, so
     characters_scanned equals the level-k count of t1.
     """
     _require_same_taxa([t1, t2])
-    start = time.perf_counter()
-    best: Character | None = None
-    scanned = 0
-    for f in enumerate_convex(t1, k):
-        scanned += 1
-        if best is not None and f.block_count >= best.block_count:
-            continue
-        if not is_convex(t2, f):
-            continue
-        if all(
-            t1.restrict(b).canonical_newick() == t2.restrict(b).canonical_newick()
-            for b in f.blocks
-        ):
-            best = f
-    return SolveResult(
-        character=best,
-        objective_value=best.block_count if best else None,
-        characters_scanned=scanned,
-        wall_time=time.perf_counter() - start,
-    )
+
+    def score(masks, best):
+        if (best is None or len(masks) < best) and _agree((t1, t2), masks):
+            return len(masks)
+        return None
+
+    return _scan(t1, k, score)
 
 
 def quartet_exact_partition(trees: Sequence[Tree]) -> SolveResult:
@@ -132,32 +171,17 @@ def quartet_exact_partition(trees: Sequence[Tree]) -> SolveResult:
     if not trees:
         raise ValueError("need at least one tree")
     _require_same_taxa(trees)
-    start = time.perf_counter()
     n = trees[0].n
-    scanned = 0
-    if n % 4 == 0:
-        for f in enumerate_convex(trees[0], 4):
-            scanned += 1
-            if any(len(b) != 4 for b in f.blocks):
-                continue
-            if any(not is_convex(t, f) for t in trees[1:]):
-                continue
-            if all(
-                len({t.restrict(b).canonical_newick() for t in trees}) == 1
-                for b in f.blocks
-            ):
-                return SolveResult(
-                    character=f,
-                    objective_value=f.block_count,
-                    characters_scanned=scanned,
-                    wall_time=time.perf_counter() - start,
-                )
-    return SolveResult(
-        character=None,
-        objective_value=None,
-        characters_scanned=scanned,
-        wall_time=time.perf_counter() - start,
-    )
+
+    def score(masks, best):
+        # Every block holds >= 4 taxa, so all hold exactly 4 iff there are n/4.
+        if 4 * len(masks) == n and _agree(trees, masks):
+            return len(masks)
+        return None
+
+    # Size-4 blocks partition the taxa only when 4 divides n; otherwise an
+    # oversized k scans nothing.
+    return _scan(trees[0], 4 if n % 4 == 0 else n + 1, score, first_only=True)
 
 
 def optimize_objective(
@@ -176,21 +200,7 @@ def optimize_objective(
     if not trees:
         raise ValueError("need at least one tree to score against")
     _require_same_taxa((tree, *trees))
-    start = time.perf_counter()
-    best: Character | None = None
-    best_value: int | None = None
-    scanned = 0
-    for f in enumerate_convex(tree, k):
-        scanned += 1
-        value = fn(f, trees)
-        if best_value is None or value < best_value:
-            best, best_value = f, value
-    return SolveResult(
-        character=best,
-        objective_value=best_value,
-        characters_scanned=scanned,
-        wall_time=time.perf_counter() - start,
-    )
+    return _scan(tree, k, lambda masks, best: fn(masks, trees))
 
 
 def solve(instance: SolveInstance) -> SolveResult:

@@ -73,7 +73,7 @@ def _check_label(label: str) -> None:
 
 
 def _ensure_stack(depth: int) -> None:
-    # Recursive renderers walk one frame per tree level.
+    # The enumerator and stream_encoding recurse one frame per tree level.
     need = depth + 120
     if sys.getrecursionlimit() < need:
         sys.setrecursionlimit(need)
@@ -145,7 +145,7 @@ class Tree:
     constructor trusts its arguments.
     """
 
-    __slots__ = ("_labels", "_adj", "_n", "_newick", "_root", "_internal_masks")
+    __slots__ = ("_labels", "_adj", "_n", "_newick", "_root", "_internal_masks", "_label_ids")
 
     def __init__(self, labels: tuple[str, ...], adj: tuple[tuple[int, ...], ...]):
         self._labels = labels
@@ -154,6 +154,7 @@ class Tree:
         self._newick: str | None = None
         self._root: _RootData | None = None
         self._internal_masks: tuple[int, ...] | None = None
+        self._label_ids: dict[str, int] | None = None
 
     # -- basic queries ---------------------------------------------------
 
@@ -185,8 +186,9 @@ class Tree:
         return i
 
     def _index(self) -> dict[str, int]:
-        # Labels are sorted, so a fresh dict is cheap; build on demand.
-        return {lab: i for i, lab in enumerate(self._labels)}
+        if self._label_ids is None:
+            self._label_ids = {lab: i for i, lab in enumerate(self._labels)}
+        return self._label_ids
 
     def __repr__(self) -> str:
         return f"Tree({self.canonical_newick()!r})"
@@ -285,25 +287,29 @@ class Tree:
 
     # -- rendering ---------------------------------------------------------
 
-    def _subtree_text(self, v: int, parent_v: int) -> tuple[str, int]:
-        if v < self._n:
-            return self._labels[v], v
-        subs = sorted(
-            (self._subtree_text(u, v) for u in self._adj[v] if u != parent_v),
-            key=lambda t: t[1],
-        )
-        return "(" + ",".join(s for s, _ in subs) + ")", subs[0][1]
-
     def canonical_newick(self) -> str:
         """Deterministic Newick: rooted at the smallest taxon's edge,
         subtrees ordered by smallest contained label."""
         if self._newick is None:
+            labels = self._labels
             if self._n == 1:
-                self._newick = self._labels[0] + ";"
+                self._newick = labels[0] + ";"
             else:
-                _ensure_stack(len(self._adj))
-                u = self._adj[0][0]
-                self._newick = f"({self._labels[0]},{self._subtree_text(u, 0)[0]});"
+                children = self._rooting().children
+                out = ["(", labels[0], ","]
+                stack: list = [children[0][0]]  # vertices and literal tokens
+                while stack:
+                    item = stack.pop()
+                    if isinstance(item, str):
+                        out.append(item)
+                    elif item < self._n:
+                        out.append(labels[item])
+                    else:
+                        f, g = children[item]
+                        out.append("(")
+                        stack.extend((")", g, ",", f))
+                out.append(");")
+                self._newick = "".join(out)
         return self._newick
 
     # -- structural operations ---------------------------------------------

@@ -1,8 +1,22 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from convchar import FakeClock, caterpillar_count, count_convex, parse_newick, run_bench
+import convchar
+from convchar import (
+    FakeClock,
+    caterpillar,
+    caterpillar_count,
+    count_convex,
+    fibonacci,
+    fully_loaded_count,
+    parse_newick,
+    run_bench,
+)
 from convchar.cli import main
 
 EXAMPLE = "(((a,b),c),((f,g),e),d);"
@@ -163,3 +177,45 @@ class TestCli:
     def test_usage_error_exit_code(self):
         assert main(["count"]) == 2
         assert main(["nonsense"]) == 2
+
+
+class TestDeepTrees:
+    """Deep trees must work without recursion and without touching the
+    interpreter's recursion limit; checks that could crash the interpreter
+    run in a child process."""
+
+    def run_python(self, args, **kw):
+        env = dict(os.environ)
+        src = str(Path(convchar.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                              text=True, timeout=120, **kw)
+
+    def test_count_deep_caterpillar_in_subprocess(self, tmp_path):
+        path = tmp_path / "deep.nwk"
+        path.write_text(caterpillar(20_000).canonical_newick() + "\n")
+        proc = self.run_python(["-m", "convchar", "count", str(path), "-k", "2"])
+        assert proc.returncode == 0, proc.stderr[-500:]
+        assert proc.stdout == f"1\t20000\t2\t{fibonacci(19_999)}\n"
+
+    def test_recursion_limit_unchanged(self):
+        code = (
+            "import sys\n"
+            "from convchar import caterpillar, count_convex, fibonacci, parse_newick\n"
+            "limit = sys.getrecursionlimit()\n"
+            "t = caterpillar(20_000)\n"
+            "assert count_convex(t, 2) == fibonacci(19_999)\n"
+            "assert parse_newick(t.canonical_newick()) == t\n"
+            "assert sys.getrecursionlimit() == limit\n"
+        )
+        proc = self.run_python(["-c", code])
+        assert proc.returncode == 0, proc.stderr[-500:]
+
+    def test_gen_deep_trees_parse_back(self, capsys):
+        assert main(["gen", "caterpillar", "5000"]) == 0
+        t = parse_newick(capsys.readouterr().out)
+        assert t == caterpillar(5000)
+        assert main(["gen", "fully_loaded", "6000", "--k", "3"]) == 0
+        t = parse_newick(capsys.readouterr().out)
+        assert t.n == 6000
+        assert count_convex(t, 3) == fully_loaded_count(6000, 3)

@@ -59,15 +59,6 @@ class TestCountConvex:
         assert count_convex(t, 1) == count_closed_k1(n)
         assert count_convex(t, 2) == count_closed_k2(n)
 
-    def test_memo_is_stable(self, example7):
-        from convchar import clear_count_cache
-
-        clear_count_cache()
-        assert count_convex(example7, 3) == 3
-        assert count_convex(example7, 3) == 3
-        clear_count_cache()
-        assert count_convex(example7, 3) == 3
-
 
 class TestClosedForms:
     def test_fibonacci_values(self):

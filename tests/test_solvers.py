@@ -1,4 +1,8 @@
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convchar import (
     Character,
@@ -17,6 +21,49 @@ from convchar import (
     random_tree,
     solve,
 )
+from convchar.solvers import _restricted_splits
+
+
+def swap_labels(tree, a, b):
+    """The same shape with taxa ``a`` and ``b`` exchanged."""
+    swap = {a: b, b: a}
+    text = re.sub(r"[^(),;]+", lambda m: swap.get(m.group(), m.group()), tree.canonical_newick())
+    return parse_newick(text)
+
+
+def restrictions_agree(t1, t2, block):
+    labels = t1._labels_of(block)
+    return t1.restrict(labels).canonical_newick() == t2.restrict(labels).canonical_newick()
+
+
+def split_sets_agree(t1, t2, block):
+    return _restricted_splits(t1, block) == _restricted_splits(t2, block)
+
+
+class TestRestrictedSplits:
+    def test_examples(self):
+        t1 = caterpillar(6)
+        t2 = caterpillar(6, ["a", "c", "b", "d", "e", "f"])
+        abcd, adef = 0b001111, 0b111001
+        assert not split_sets_agree(t1, t2, abcd)
+        assert split_sets_agree(t1, t2, adef)
+        assert _restricted_splits(t1, abcd) == {0b1100}
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(3, 12),
+        seed=st.integers(0, 10 ** 6),
+        data=st.data(),
+    )
+    def test_matches_restriction_equality(self, n, seed, data):
+        t1 = random_tree(n, seed=seed)
+        if data.draw(st.booleans()):
+            t2 = random_tree(n, seed=seed + 1)
+        else:
+            a, b = data.draw(st.lists(st.sampled_from(t1.labels), min_size=2, max_size=2, unique=True))
+            t2 = swap_labels(t1, a, b)
+        block = data.draw(st.integers(1, (1 << n) - 1))
+        assert split_sets_agree(t1, t2, block) == restrictions_agree(t1, t2, block)
 
 
 class TestAgreementForest:
