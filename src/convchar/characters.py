@@ -16,10 +16,12 @@ bitmasks; only ``enumerate_convex`` turns them into ``Character`` objects.
 
 from __future__ import annotations
 
+from functools import cache
+from itertools import product
 from typing import Iterable, Iterator, Sequence
 
-from .counting import _dp_tables
-from .trees import Tree, _ensure_stack
+from .counting import _dp_tables, _join, _joined_children
+from .trees import Tree
 
 
 class Character:
@@ -99,12 +101,16 @@ class Character:
         return hash(self._blocks)
 
 
-def _block_masks(tree: Tree, f) -> list[int]:
+def _partition(tree: Tree, f) -> Character:
     if not isinstance(f, Character):
         f = Character(f)
     if f.taxa != tree.taxa:
         raise ValueError("character is not a partition of the tree's taxa")
-    return [tree._mask_of(b) for b in f.blocks]
+    return f
+
+
+def _block_masks(tree: Tree, f) -> list[int]:
+    return [tree._mask_of(b) for b in _partition(tree, f).blocks]
 
 
 def _to_character(labels: tuple[str, ...], masks: Iterable[int]) -> Character:
@@ -181,7 +187,13 @@ def parsimony_score(tree: Tree, f) -> int:
 
 def _block_stream(tree: Tree, k: int) -> Iterator[tuple[int, ...]]:
     """Block-mask tuples of every convex character of ``tree`` with min
-    block size >= k, in stream order (see enumerate_convex)."""
+    block size >= k, in stream order (see enumerate_convex).
+
+    Explicit-stack backtracking over the DP's edge states (counting._join):
+    an option fixes each child edge cut or open, f before g in encoding
+    order, and g's allowed states follow from the state f reached.  Open
+    blocks keep their taxa on a linked stack, so merging costs nothing.
+    """
     if k < 1:
         raise ValueError("k must be at least 1")
     n = tree.n
@@ -190,79 +202,65 @@ def _block_stream(tree: Tree, k: int) -> Iterator[tuple[int, ...]]:
     if n == 1:
         yield (1,)
         return
-    _ensure_stack(2 * tree.num_vertices())
-    cut, opn = _dp_tables(tree, k)
-    rd = tree._rooting()
-    children = rd.children
+    children = _joined_children(tree)
+    support = [0] * len(children)  # states with a nonzero count
+    for v, vec in _dp_tables(tree, k):
+        support[v] = sum(1 << s for s, x in enumerate(vec) if x)
+    states = range(k + 1)
+    join = [[sum(1 << s for s in _join(j1, j2, k)) for j2 in states] for j1 in states]
+    halves = ((0,), range(1, k + 1))  # cut, open
 
-    def emit_cut(v: int):
-        # All taxa below v sit in finished blocks; yields block-mask tuples.
-        if v < n:
-            yield (1 << v,)
-            return
+    @cache  # lives as long as this stream
+    def options(v: int, S: int) -> list[tuple[int, dict[int, int]]]:
         f, g = children[v]
-        if cut[f] and cut[g]:
-            for bf in emit_cut(f):
-                for bg in emit_cut(g):
-                    yield bf + bg
-        of, og = opn[f], opn[g]
-        j1s = [
-            j1
-            for j1 in range(1, k + 1)
-            if of[j1] and any(og[j2] for j2 in range(max(1, k - j1), k + 1))
-        ]
-        if j1s:
-            for bf, mf, j1 in emit_open(f, j1s):
-                j2s = [j2 for j2 in range(max(1, k - j1), k + 1) if og[j2]]
-                for bg, mg, _ in emit_open(g, j2s):
-                    yield bf + bg + (mf | mg,)
+        out = []
+        for f_half, g_half in product(halves, repeat=2):
+            g_allowed = {}
+            for j1 in f_half:
+                if support[f] >> j1 & 1:
+                    m = sum(1 << j2 for j2 in g_half if support[g] >> j2 & 1 and join[j1][j2] & S)
+                    if m:
+                        g_allowed[j1] = m
+            if g_allowed:
+                out.append((sum(1 << j for j in g_allowed), g_allowed))
+        return out
 
-    def emit_open(v: int, js: list[int]):
-        # One unfinished block crosses the edge above v with j taxa below,
-        # j restricted to ``js``; yields (blocks, open_mask, j).
-        if v < n:
-            yield (), 1 << v, 1
+    # Start at the top vertex, whose edge must end cut.  Pending steps in
+    # ``cont``: (u, S_u, start, g_allowed) waits for f, (S_u, start, j1) for g.
+    v, S, i, cont, opened = len(children) - 1, 1, 0, None, None
+    blocks: list[int] = []
+    choices: list = []
+    while True:
+        while v >= n:  # descend along option i, then first options
+            opts = options(v, S)
+            if i + 1 < len(opts):
+                choices.append((v, S, i + 1, cont, opened, len(blocks)))
+            s_f, g_allowed = opts[i]
+            cont = ((v, S, opened, g_allowed), cont)
+            v, S, i = children[v][0], s_f, 0
+        # A leaf's allowed set is one state: 0 (a singleton) or 1.
+        state, start, opened = S.bit_length() - 1, opened, (v, opened)
+        while True:  # finish vertices whose children are both done
+            if not state and opened is not start:  # a block closes here
+                m = 0
+                while opened is not start:
+                    x, opened = opened
+                    m |= 1 << x
+                blocks.append(m)
+            if cont is None or len(cont[0]) == 4:
+                break
+            (S_u, start, j1), cont = cont
+            state = (join[j1][state] & S_u).bit_length() - 1
+        if cont is not None:  # f is done: descend into g
+            (u, S_u, start, g_allowed), cont = cont
+            cont = ((S_u, start, state), cont)
+            v, S, i = children[u][1], g_allowed[state], 0
+            continue
+        yield tuple(blocks)
+        if not choices:
             return
-        f, g = children[v]
-        of, og = opn[f], opn[g]
-        cf, cg = cut[f], cut[g]
-        if cf:
-            jg = [j for j in js if og[j]]
-            if jg:
-                for bf in emit_cut(f):
-                    for bg, mg, j in emit_open(g, jg):
-                        yield bf + bg, mg, j
-        if cg:
-            jf = [j for j in js if of[j]]
-            if jf:
-                for bf, mf, j in emit_open(f, jf):
-                    for bg in emit_cut(g):
-                        yield bf + bg, mf, j
-        wanted = set(js)
-        j1s = [
-            j1
-            for j1 in range(1, k + 1)
-            if of[j1]
-            and any(og[j2] and min(j1 + j2, k) in wanted for j2 in range(1, k + 1))
-        ]
-        if j1s:
-            for bf, mf, j1 in emit_open(f, j1s):
-                j2s = [
-                    j2
-                    for j2 in range(1, k + 1)
-                    if og[j2] and min(j1 + j2, k) in wanted
-                ]
-                for bg, mg, j2 in emit_open(g, j2s):
-                    yield bf + bg, mf | mg, min(j1 + j2, k)
-
-    c0 = children[0][0]
-    if k == 1 and cut[c0]:
-        for blocks in emit_cut(c0):
-            yield blocks + (1,)
-    js = [j for j in range(max(1, k - 1), k + 1) if opn[c0][j]]
-    if js:
-        for blocks, om, _ in emit_open(c0, js):
-            yield blocks + (om | 1,)
+        v, S, i, cont, opened, kept = choices.pop()
+        del blocks[kept:]
 
 
 def enumerate_convex(tree: Tree, k: int = 1) -> Iterator[Character]:
@@ -285,37 +283,38 @@ def stream_encoding(tree: Tree, f) -> tuple[int, ...]:
 
     One bit per edge, 1 when some block's spanning subtree uses the edge,
     in the canonical decision order of the enumeration (edge above the
-    root's child first, then recursively at each vertex both child edges
-    followed by the two subtrees).  Distinct characters of one tree have
+    root's child first, then the two child edges of every internal vertex
+    in preorder, f before g).  Distinct characters of one tree have
     distinct encodings, and ``enumerate_convex`` yields in strictly
     increasing encoding order.
     """
-    masks = _block_masks(tree, f)
-    rd = tree._rooting()
+    blocks = _partition(tree, f).blocks
     n = tree.n
-
-    c0 = rd.children[0][0]
-    decision: list[int] = [c0]
-
-    def emit(v: int) -> None:
-        if v < n:
-            return
-        f_, g_ = rd.children[v]
-        decision.extend((f_, g_))
-        emit(f_)
-        emit(g_)
-
-    _ensure_stack(2 * tree.num_vertices())
-    emit(c0)
-
-    bits = []
-    for v in decision:
-        em = rd.below[v]
-        used = 0
-        for bm in masks:
-            x = em & bm
-            if x and x != bm:
-                used = 1
-                break
-        bits.append(used)
-    return tuple(bits)
+    children = tree._rooting().children
+    c0 = children[0][0]
+    preorder, decision, stack = [], [c0], [c0]
+    while stack:
+        v = stack.pop()
+        preorder.append(v)
+        if v >= n:
+            decision += children[v]
+            stack += reversed(children[v])
+    # Number the taxa in preorder, the root taxon last: the taxa below any
+    # vertex hold consecutive numbers, and the edge above it is unused just
+    # when the blocks of those taxa span no more numbers than there are taxa.
+    num = [n - 1] * n
+    for i, v in enumerate(v for v in preorder if v < n):
+        num[v] = i
+    span = [(0, 0)] * tree.num_vertices()  # first and last number of the blocks
+    size = [1] * len(span)
+    for block in blocks:
+        ids = [tree.taxon_id(lab) for lab in block]
+        first_last = (min(num[i] for i in ids), max(num[i] for i in ids))
+        for i in ids:
+            span[i] = first_last
+    for v in reversed(preorder):
+        if v >= n:
+            f_, g_ = children[v]
+            size[v] = size[f_] + size[g_]
+            span[v] = (min(span[f_][0], span[g_][0]), max(span[f_][1], span[g_][1]))
+    return tuple(int(span[v][1] - span[v][0] + 1 != size[v]) for v in decision)

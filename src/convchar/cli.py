@@ -49,6 +49,13 @@ def _read_trees(path: str) -> list[tuple[int, Tree]]:
     return out
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _csv_ints(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
@@ -148,7 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("list", help="stream all level-k convex characters")
     p.add_argument("tree_file")
     p.add_argument("-k", type=int, default=1)
-    p.add_argument("--limit", type=int, default=None, help="stop after this many lines (exit 3)")
+    p.add_argument("--limit", type=non_negative_int, default=None,
+                   help="stop after this many lines (exit 3)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_list)
 

@@ -4,12 +4,12 @@ All counts are exact Python ints; the closed forms run on the integer
 Fibonacci recurrence, never on floats.  Floating point shows up only in the
 growth-rate root finding and in the explicitly guarded float cross-checks.
 
-The core dynamic program roots the tree at its smallest taxon and keeps, per
-directed edge, one counter for partial solutions where the edge is cut (all
-taxa below already sit in finished blocks of size >= k) and counters
-j = 1..k for solutions where exactly one unfinished block crosses the edge
-with j taxa below it, j saturating at k.  Children combine by convolution
-capped at k, which is sound because only "at least k" ever matters.
+The core dynamic program roots the tree at its smallest taxon and gives the
+edge above each vertex a state: 0 when it is cut (all taxa below already sit
+in finished blocks of size >= k), or j = 1..k when one unfinished block
+crosses it with j taxa below, j saturating at k, which is sound because only
+"at least k" ever matters.  One rule, :func:`_join`, combines the states of
+two child edges; the enumeration backtracker reads the same rule.
 Total work is O(n * k^2) big-int operations.
 """
 
@@ -19,6 +19,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from typing import Iterator, Sequence
 
 from .trees import Tree
 
@@ -60,59 +61,60 @@ def count_closed_k2(n: int) -> int:
     return fibonacci(n - 1)
 
 
-def _dp_tables(tree: Tree, k: int) -> tuple[list[int], list[list[int]]]:
+def _join(j1: int, j2: int, k: int) -> tuple[int, ...]:
+    """States of the edge above a vertex whose child edges are in states
+    ``j1`` and ``j2``: a cut child passes the other's state up, and two open
+    blocks merge into one, which may also close once it holds k taxa."""
+    if not (j1 and j2):
+        return (j1 + j2,)
+    s = min(j1 + j2, k)
+    return (s, 0) if s == k else (s,)
+
+
+def _joined_children(tree: Tree) -> tuple[tuple[int, ...], ...]:
+    """Children in the rooting at taxon 0, plus a top vertex (id
+    ``num_vertices()``) over the root's child c0 and taxon 0: their shared
+    edge counts as two child edges that must join into a cut one."""
+    children = tree._rooting().children
+    return children + ((children[0][0], 0),)
+
+
+def _dp_tables(tree: Tree, k: int) -> Iterator[tuple[int, Sequence[int]]]:
     """Per-vertex DP vectors for the edge above each vertex.
 
-    Returns (cut, open) where cut[v] counts solutions with the edge cut and
-    open[v][j] (1 <= j <= k, saturating) counts solutions whose crossing
-    block holds j taxa below the edge.  Shared with the enumeration
-    backtracker so listing explores no dead branches.
+    Yields ``(v, vec)`` for every vertex, children first and the top vertex
+    (see _joined_children) last; ``vec[s]`` counts the partial solutions
+    below v with the edge above v in state s, so the top's ``vec[0]`` is
+    the count.  A vector is dropped once its parent's is built.  Shared
+    with the enumeration backtracker so listing explores no dead branches.
     """
-    rd = tree._rooting()
     n = tree.n
-    V = tree.num_vertices()
-    cut = [0] * V
-    opn: list[list[int]] = [[]] * V
-    leaf_cut = 1 if k == 1 else 0
-    for v in rd.postorder:
-        if v == 0:
-            continue
+    children = _joined_children(tree)
+    states = range(k + 1)
+    join = [[_join(j1, j2, k) for j2 in states] for j1 in states]
+    leaf = (int(k == 1), 1) + (0,) * (k - 1)  # a singleton block needs k == 1
+    vecs: list[Sequence[int] | None] = [None] * len(children)
+    for v in tree._rooting().postorder + (len(children) - 1,):
         if v < n:
-            vec = [0] * (k + 1)
-            vec[1] = 1
-            cut[v] = leaf_cut
-            opn[v] = vec
+            vec = leaf
         else:
-            f, g = rd.children[v]
-            cf, cg = cut[f], cut[g]
-            of, og = opn[f], opn[g]
+            f, g = children[v]
+            vf, vg = vecs[f], vecs[g]
+            vecs[f] = vecs[g] = None
             vec = [0] * (k + 1)
-            if cg:
-                for j in range(1, k + 1):
-                    if of[j]:
-                        vec[j] += of[j] * cg
-            if cf:
-                for j in range(1, k + 1):
-                    if og[j]:
-                        vec[j] += og[j] * cf
-            cc = cf * cg
-            for j1 in range(1, k + 1):
-                x = of[j1]
+            for j1 in states:
+                x = vf[j1]
                 if not x:
                     continue
-                for j2 in range(1, k + 1):
-                    y = og[j2]
-                    if not y:
-                        continue
-                    s = j1 + j2
-                    if s >= k:
-                        vec[k] += x * y
-                        cc += x * y
-                    else:
-                        vec[s] += x * y
-            cut[v] = cc
-            opn[v] = vec
-    return cut, opn
+                row = join[j1]
+                for j2 in states:
+                    y = vg[j2]
+                    if y:
+                        xy = x * y
+                        for s in row[j2]:
+                            vec[s] += xy
+        vecs[v] = vec
+        yield v, vec
 
 
 def count_convex(tree: Tree, k: int = 1) -> int:
@@ -125,11 +127,9 @@ def count_convex(tree: Tree, k: int = 1) -> int:
         return 0
     if n == 1:
         return 1
-    cut, opn = _dp_tables(tree, k)
-    c0 = tree._rooting().children[0][0]
-    total = cut[c0] if k == 1 else 0
-    total += sum(opn[c0][max(1, k - 1):])
-    return total
+    for _, vec in _dp_tables(tree, k):
+        pass  # the last vector is the top vertex's
+    return vec[0]
 
 
 def caterpillar_count(n: int, k: int) -> int:

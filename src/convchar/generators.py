@@ -292,6 +292,7 @@ def fully_loaded_decomposition(tree: Tree, k: int) -> FullyLoadedSpec | None:
         return build_spec([tree.taxa])
 
     rd = tree._rooting()
+    below = tree._below()
     V = tree.num_vertices()
     INF = n + 10
     min_under = [INF] * V
@@ -299,7 +300,7 @@ def fully_loaded_decomposition(tree: Tree, k: int) -> FullyLoadedSpec | None:
     for v in rd.postorder:
         if v == 0:
             continue
-        size = rd.below[v].bit_count()
+        size = below[v].bit_count()
         best, whole = INF, False
         if size <= k - 1:
             best, whole = (0 if size == k - 1 else 1), True
@@ -314,17 +315,17 @@ def fully_loaded_decomposition(tree: Tree, k: int) -> FullyLoadedSpec | None:
     for v in rd.postorder:
         if v == 0:
             continue
-        top_size = n - rd.below[v].bit_count()
+        top_size = n - below[v].bit_count()
         if not 1 <= top_size <= k - 1:
             continue
         total = (0 if top_size == k - 1 else 1) + min_under[v]
         if total <= 1:
-            parts = [tree._labels_of(((1 << n) - 1) ^ rd.below[v])]
+            parts = [tree._labels_of(((1 << n) - 1) ^ below[v])]
             stack = [v]
             while stack:
                 w = stack.pop()
                 if take_whole[w]:
-                    parts.append(tree._labels_of(rd.below[w]))
+                    parts.append(tree._labels_of(below[w]))
                 else:
                     stack.extend(rd.children[w])
             return build_spec(parts)
@@ -339,27 +340,12 @@ def is_fully_loaded(tree: Tree, k: int) -> bool:
     return fully_loaded_decomposition(tree, k) is not None
 
 
-def _render_away(tree: Tree, v: int, parent: int) -> str:
-    """Rooted subtree text away from ``parent``, children by smallest
-    label (isomorphism-preserving)."""
-    if tree.is_leaf(v):
-        return tree.labels[v]
-    subs = sorted(
-        (
-            (_render_away(tree, u, v), min(tree._labels_of(_away_mask(tree, u, v))))
-            for u in tree.neighbors(v)
-            if u != parent
-        ),
-        key=lambda t: t[1],
-    )
-    return "(" + ",".join(s for s, _ in subs) + ")"
-
-
 def _away_mask(tree: Tree, v: int, parent: int) -> int:
     rd = tree._rooting()
+    below = tree._below()
     if rd.parent[v] == parent:
-        return rd.below[v]
-    return ((1 << tree.n) - 1) ^ rd.below[parent]
+        return below[v]
+    return ((1 << tree.n) - 1) ^ below[parent]
 
 
 def linearize(tree: Tree, tp: Tripartition) -> Tree:
@@ -374,8 +360,8 @@ def linearize(tree: Tree, tp: Tripartition) -> Tree:
     if min(len(tp.part_a), len(tp.part_b), len(tp.part_c)) < 2:
         raise ValueError("linearization needs all three parts of size >= 2")
     na, nb, _ = roles
-    a_text = _render_away(tree, na, tp.center)
-    b_text = _render_away(tree, nb, tp.center)
+    a_text = tree._text_away(na, tp.center)
+    b_text = tree._text_away(nb, tp.center)
     inner = b_text
     for c in sorted(tp.part_c, reverse=True):
         inner = f"({c},{inner})"
@@ -414,7 +400,7 @@ def replace_pendant_fully_loaded(tree: Tree, split: Split, k: int) -> Tree:
     if not k <= len(b) <= 2 * (k - 1):
         raise ValueError("side_b size must lie in [k, 2(k-1)]")
     ua, ub = _edge_of_split(tree, split)
-    a_text = _render_away(tree, ua, ub)
+    a_text = tree._text_away(ua, ub)
     chunk1, chunk2 = b[: k - 1], b[k - 1:]
     return parse_newick(
         f"({a_text},{_rooted_chain(chunk1)},{_rooted_chain(chunk2)});"
@@ -427,11 +413,12 @@ def _edge_of_split(tree: Tree, split: Split) -> tuple[int, int]:
     if frozenset(split.side_a) | want_b != tree.taxa or frozenset(split.side_a) & want_b:
         raise ValueError("split sides do not partition the tree's taxa")
     rd = tree._rooting()
+    below = tree._below()
     mask_b = tree._mask_of(want_b)
     full = (1 << tree.n) - 1
     for v in range(1, tree.num_vertices()):
-        if rd.below[v] == mask_b:
+        if below[v] == mask_b:
             return rd.parent[v], v
-        if rd.below[v] == full ^ mask_b:
+        if below[v] == full ^ mask_b:
             return v, rd.parent[v]
     raise ValueError("tree does not contain the split")

@@ -57,6 +57,8 @@ class SolveInstance:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SolveInstance":
+        if not isinstance(data, dict):
+            raise ValueError("instance must be a JSON object")
         try:
             newicks = data["trees"]
             mode = data["mode"]
@@ -64,11 +66,17 @@ class SolveInstance:
             raise ValueError(f"instance is missing {missing}") from None
         if not isinstance(newicks, list) or not all(isinstance(s, str) for s in newicks):
             raise ValueError("'trees' must be a list of Newick strings")
+        k = data.get("k", 1)
+        if not isinstance(k, int) or isinstance(k, bool):
+            raise ValueError("'k' must be an integer")
+        objective = data.get("objective", "sum_parsimony")
+        if not isinstance(objective, str):
+            raise ValueError("'objective' must be a string")
         return cls(
             trees=tuple(parse_newick(s) for s in newicks),
-            k=int(data.get("k", 1)),
+            k=k,
             mode=mode,
-            objective=data.get("objective", "sum_parsimony"),
+            objective=objective,
         )
 
 

@@ -10,7 +10,6 @@ form.
 
 from __future__ import annotations
 
-import sys
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
@@ -62,7 +61,6 @@ class _RootData(NamedTuple):
     parent: tuple[int, ...]
     children: tuple[tuple[int, ...], ...]
     postorder: tuple[int, ...]  # every child precedes its parent; root last
-    below: tuple[int, ...]      # taxa bitmask at or below each vertex
 
 
 def _check_label(label: str) -> None:
@@ -70,13 +68,6 @@ def _check_label(label: str) -> None:
         raise TreeError("taxon labels must be non-empty strings")
     if any(c.isspace() for c in label) or any(c in _RESERVED for c in label):
         raise TreeError(f"invalid taxon label {label!r}")
-
-
-def _ensure_stack(depth: int) -> None:
-    # The enumerator and stream_encoding recurse one frame per tree level.
-    need = depth + 120
-    if sys.getrecursionlimit() < need:
-        sys.setrecursionlimit(need)
 
 
 def _assemble(adj: dict[int, set[int]], leaf_labels: dict[int, str]) -> "Tree":
@@ -145,7 +136,10 @@ class Tree:
     constructor trusts its arguments.
     """
 
-    __slots__ = ("_labels", "_adj", "_n", "_newick", "_root", "_internal_masks", "_label_ids")
+    __slots__ = (
+        "_labels", "_adj", "_n", "_newick", "_root", "_below_masks",
+        "_internal_masks", "_label_ids",
+    )
 
     def __init__(self, labels: tuple[str, ...], adj: tuple[tuple[int, ...], ...]):
         self._labels = labels
@@ -153,6 +147,7 @@ class Tree:
         self._n = len(labels)
         self._newick: str | None = None
         self._root: _RootData | None = None
+        self._below_masks: tuple[int, ...] | None = None
         self._internal_masks: tuple[int, ...] | None = None
         self._label_ids: dict[str, int] | None = None
 
@@ -246,13 +241,11 @@ class Tree:
                     parent[u] = v
                     stack.append(u)
         post = tuple(reversed(order))
-        below = [0] * V
+        low = list(range(V))  # smallest taxon id at or below each vertex
         for v in post:
-            if v < self._n:
-                below[v] |= 1 << v
             p = parent[v]
-            if p >= 0:
-                below[p] |= below[v]
+            if p >= 0 and low[v] < low[p]:
+                low[p] = low[v]
         kids: list[list[int]] = [[] for _ in range(V)]
         for v in range(V):
             p = parent[v]
@@ -260,11 +253,27 @@ class Tree:
                 kids[p].append(v)
         for v in range(V):
             # Canonical child order: smallest taxon id below comes first.
-            kids[v].sort(key=lambda w: below[w] & -below[w])
-        self._root = _RootData(
-            tuple(parent), tuple(tuple(c) for c in kids), post, tuple(below)
-        )
+            kids[v].sort(key=low.__getitem__)
+        self._root = _RootData(tuple(parent), tuple(tuple(c) for c in kids), post)
         return self._root
+
+    def _below(self) -> tuple[int, ...]:
+        """Taxa bitmask at or below each vertex of the rooting.
+
+        Built on first use only: on a deep tree these masks take memory
+        quadratic in n, which counting, listing and rendering never need.
+        """
+        if self._below_masks is None:
+            rd = self._rooting()
+            below = [0] * len(self._adj)
+            for v in rd.postorder:
+                if v < self._n:
+                    below[v] |= 1 << v
+                p = rd.parent[v]
+                if p >= 0:
+                    below[p] |= below[v]
+            self._below_masks = tuple(below)
+        return self._below_masks
 
     def _internal_edge_masks(self) -> tuple[int, ...]:
         """Below-masks of edges with two internal endpoints.
@@ -276,10 +285,10 @@ class Tree:
             if self._n < 4:
                 self._internal_masks = ()
             else:
-                rd = self._rooting()
-                c0 = rd.children[0][0]
+                below = self._below()
+                c0 = self._rooting().children[0][0]
                 self._internal_masks = tuple(
-                    rd.below[v]
+                    below[v]
                     for v in range(self._n, len(self._adj))
                     if v != c0
                 )
@@ -291,26 +300,39 @@ class Tree:
         """Deterministic Newick: rooted at the smallest taxon's edge,
         subtrees ordered by smallest contained label."""
         if self._newick is None:
-            labels = self._labels
             if self._n == 1:
-                self._newick = labels[0] + ";"
+                self._newick = self._labels[0] + ";"
             else:
-                children = self._rooting().children
-                out = ["(", labels[0], ","]
-                stack: list = [children[0][0]]  # vertices and literal tokens
-                while stack:
-                    item = stack.pop()
-                    if isinstance(item, str):
-                        out.append(item)
-                    elif item < self._n:
-                        out.append(labels[item])
-                    else:
-                        f, g = children[item]
-                        out.append("(")
-                        stack.extend((")", g, ",", f))
-                out.append(");")
-                self._newick = "".join(out)
+                c0 = self._rooting().children[0][0]
+                self._newick = f"({self._labels[0]},{self._text_away(c0, 0)});"
         return self._newick
+
+    def _text_away(self, v: int, away: int) -> str:
+        """Rooted Newick text (no ';') of the side of edge ``away``--``v``
+        that holds ``v``, subtrees ordered by smallest contained label."""
+        rd = self._rooting()
+        parent, children = rd.parent, rd.children
+        out: list[str] = []
+        stack: list = [(v, away)]  # (vertex, neighbour it hangs from) or a literal
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            w, p = item
+            if w < self._n:
+                out.append(self._labels[w])
+                continue
+            if p == parent[w]:
+                f, g = children[w]
+            else:
+                # Walking towards the root leaf 0: the parent's side holds
+                # taxon 0, so it comes first.
+                f = parent[w]
+                g = next(c for c in children[w] if c != p)
+            out.append("(")
+            stack.extend((")", (g, w), ",", (f, w)))
+        return "".join(out)
 
     # -- structural operations ---------------------------------------------
 
@@ -361,10 +383,10 @@ class Tree:
         taxon."""
         if self._n < 2:
             return []
-        rd = self._rooting()
+        below = self._below()
         full = (1 << self._n) - 1
         return [
-            Split(self._labels_of(full ^ rd.below[v]), self._labels_of(rd.below[v]))
+            Split(self._labels_of(full ^ below[v]), self._labels_of(below[v]))
             for v in range(1, len(self._adj))
         ]
 
@@ -374,11 +396,12 @@ class Tree:
         if self._n < 3:
             return []
         rd = self._rooting()
+        below = self._below()
         full = (1 << self._n) - 1
         out = []
         for v in range(self._n, len(self._adj)):
-            masks = [rd.below[c] for c in rd.children[v]]
-            masks.append(full ^ rd.below[v])
+            masks = [below[c] for c in rd.children[v]]
+            masks.append(full ^ below[v])
             masks.sort(key=lambda m: m & -m)
             out.append(Tripartition(*(self._labels_of(m) for m in masks), center=v))
         return out
@@ -412,16 +435,15 @@ class Tree:
         if self._n <= k:
             raise ValueError("bounded split requires n > k")
         rd = self._rooting()
+        below = self._below()
         cur = rd.children[0][0]
         while True:
-            options = [
-                w for w in rd.children[cur] if rd.below[w].bit_count() >= k
-            ]
+            options = [w for w in rd.children[cur] if below[w].bit_count() >= k]
             if not options:
                 break
-            options.sort(key=lambda w: (-rd.below[w].bit_count(), rd.below[w] & -rd.below[w]))
+            options.sort(key=lambda w: (-below[w].bit_count(), below[w] & -below[w]))
             cur = options[0]
-        far = rd.below[cur]
+        far = below[cur]
         size = far.bit_count()
         assert k <= size <= 2 * (k - 1)
         full = (1 << self._n) - 1

@@ -8,6 +8,7 @@ import pytest
 
 import convchar
 from convchar import (
+    Character,
     FakeClock,
     caterpillar,
     caterpillar_count,
@@ -15,6 +16,7 @@ from convchar import (
     fibonacci,
     fully_loaded_count,
     parse_newick,
+    parsimony_score,
     run_bench,
 )
 from convchar.cli import main
@@ -96,6 +98,8 @@ class TestCli:
         path = self.write_tree(tmp_path)
         assert main(["list", path, "-k", "1", "--limit", "5"]) == 3
         assert len(capsys.readouterr().out.splitlines()) == 5
+        assert main(["list", path, "--limit", "-1"]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_list_json_format(self, tmp_path, capsys):
         path = self.write_tree(tmp_path)
@@ -164,8 +168,18 @@ class TestCli:
 
     def test_solve_schema_error(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"
-        inst.write_text(json.dumps({"trees": ["((a,b),c);"], "mode": "bogus"}))
-        assert main(["solve", str(inst)]) == 1
+        base = {"trees": ["((a,b),c);"], "mode": "objective_optimize"}
+        for data in (
+            {"trees": ["((a,b),c);"], "mode": "bogus"},
+            ["((a,b),c);"],
+            {**base, "k": None},
+            {**base, "k": [2]},
+            {**base, "objective": ["sum_parsimony"]},
+        ):
+            inst.write_text(json.dumps(data))
+            assert main(["solve", str(inst)]) == 1, data
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err, data
 
     def test_stdin_dash(self, tmp_path, capsys, monkeypatch):
         import io
@@ -192,20 +206,41 @@ class TestDeepTrees:
                               text=True, timeout=120, **kw)
 
     def test_count_deep_caterpillar_in_subprocess(self, tmp_path):
+        t = caterpillar(20_000)
         path = tmp_path / "deep.nwk"
-        path.write_text(caterpillar(20_000).canonical_newick() + "\n")
+        path.write_text(t.canonical_newick() + "\n")
         proc = self.run_python(["-m", "convchar", "count", str(path), "-k", "2"])
         assert proc.returncode == 0, proc.stderr[-500:]
         assert proc.stdout == f"1\t20000\t2\t{fibonacci(19_999)}\n"
+        proc = self.run_python(
+            ["-m", "convchar", "list", str(path), "-k", "2", "--limit", "3"]
+        )
+        assert proc.returncode == 3, proc.stderr[-500:]
+        lines = proc.stdout.splitlines()
+        assert len(lines) == len(set(lines)) == 3
+        for line in lines:
+            ch = Character.parse(line)
+            assert ch.taxa == t.taxa and ch.min_block_size >= 2
+            # Convex exactly when the Fitch score is block_count - 1; linear
+            # in n, unlike the edge-by-block check of is_convex.
+            assert parsimony_score(t, ch) == ch.block_count - 1
 
     def test_recursion_limit_unchanged(self):
+        # Runs parse, count, the first character and the encoding on a
+        # 10^5-taxon caterpillar; its first character at k=2 pairs up
+        # neighbouring taxa along the spine.
         code = (
             "import sys\n"
-            "from convchar import caterpillar, count_convex, fibonacci, parse_newick\n"
+            "from convchar import (caterpillar, count_convex, enumerate_convex,\n"
+            "    fibonacci, parse_newick, stream_encoding)\n"
             "limit = sys.getrecursionlimit()\n"
-            "t = caterpillar(20_000)\n"
-            "assert count_convex(t, 2) == fibonacci(19_999)\n"
+            "n = 100_000\n"
+            "t = caterpillar(n)\n"
             "assert parse_newick(t.canonical_newick()) == t\n"
+            "assert count_convex(t, 2) == fibonacci(n - 1)\n"
+            "first = next(enumerate_convex(t, 2))\n"
+            "assert first.blocks == tuple(zip(t.labels[::2], t.labels[1::2]))\n"
+            "assert stream_encoding(t, [t.labels]) == (1,) * (2 * n - 3)\n"
             "assert sys.getrecursionlimit() == limit\n"
         )
         proc = self.run_python(["-c", code])

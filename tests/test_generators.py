@@ -6,6 +6,7 @@ import pytest
 
 from convchar import (
     FullyLoadedSpec,
+    Tripartition,
     caterpillar,
     caterpillar_count,
     count_convex,
@@ -205,6 +206,24 @@ class TestLinearize:
                 assert count_convex(out, 3) >= count_convex(t, 3)
                 checked += 1
                 break
+
+    def test_deep_parts(self):
+        # The middle of the default fully 3-loaded tree on 6000 taxa: a
+        # 3000-taxon part, a pendant cherry and a 2998-taxon part, each
+        # side a path about 1500 vertices long.
+        t = fully_loaded(6000, 3)
+        labels = t.labels
+        cherry = t.neighbors(t.taxon_id(labels[3000]))[0]
+        center = next(u for u in t.neighbors(cherry) if u >= t.n)
+        tp = Tripartition(
+            frozenset(labels[:3000]),
+            frozenset(labels[3002:]),
+            frozenset(labels[3000:3002]),
+            center,
+        )
+        out = linearize(t, tp)
+        assert out.taxa == t.taxa
+        assert out.delete(tp.part_c) == t.delete(tp.part_c)
 
     def test_preconditions(self):
         t = random_tree(8, seed=1)
