@@ -11,17 +11,23 @@ k exactly once by backtracking over the counting DP's per-edge vectors, so
 no dead branch is ever entered and the stream is output-sensitive.  The
 stream order is lexicographic in the character's canonical edge-usage
 encoding (see :func:`stream_encoding`).  The backtracker yields block
-bitmasks; only ``enumerate_convex`` turns them into ``Character`` objects.
+bitmasks, and ``_decode`` is the one way back to labels: ``_rendered`` decodes
+and renders each distinct block once per stream for ``enumerate_convex`` and
+the CLI's ``list``, and a solver decodes its answer.  ``Character`` objects
+built from masks go through the trusted ``Character._canonical``.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .counting import _dp_tables, _join, _joined_children
 from .trees import Tree
+
+R = TypeVar("R")
 
 
 class Character:
@@ -45,6 +51,14 @@ class Character:
                     raise ValueError(f"taxon {t!r} appears in two blocks")
                 seen.add(t)
         self._blocks = tuple(canon)
+
+    @classmethod
+    def _canonical(cls, blocks: tuple[tuple[str, ...], ...]) -> "Character":
+        """Trusted constructor: ``blocks`` are already sorted label tuples in
+        canonical order, a partition of their taxa; nothing is checked."""
+        ch = object.__new__(cls)
+        ch._blocks = blocks
+        return ch
 
     @property
     def blocks(self) -> tuple[tuple[str, ...], ...]:
@@ -113,16 +127,14 @@ def _block_masks(tree: Tree, f) -> list[int]:
     return [tree._mask_of(b) for b in _partition(tree, f).blocks]
 
 
-def _to_character(labels: tuple[str, ...], masks: Iterable[int]) -> Character:
+def _decode(labels: tuple[str, ...], bm: int) -> tuple[str, ...]:
+    """Labels of a block mask in taxon-id order, which is sorted label order."""
     out = []
-    for bm in masks:
-        block = []
-        while bm:
-            low = bm & -bm
-            block.append(labels[low.bit_length() - 1])
-            bm ^= low
-        out.append(block)
-    return Character(out)
+    while bm:
+        low = bm & -bm
+        out.append(labels[low.bit_length() - 1])
+        bm ^= low
+    return tuple(out)
 
 
 def _convex(tree: Tree, masks: Sequence[int]) -> bool:
@@ -263,6 +275,31 @@ def _block_stream(tree: Tree, k: int) -> Iterator[tuple[int, ...]]:
         del blocks[kept:]
 
 
+def _rendered(tree: Tree, k: int, render: Callable[[tuple[str, ...]], R]) -> Iterator[list[R]]:
+    """Per character of ``_block_stream(tree, k)``, ``render`` of each
+    block's label tuple, in canonical block order (by smallest taxon id).
+
+    Consecutive characters share most of their blocks, so each distinct
+    block is decoded and rendered once and kept with its smallest taxon id.
+    The memo lives as long as the stream and is emptied whenever it holds
+    more than a few times the current character's blocks, which keeps it
+    bounded on streams with unboundedly many distinct blocks (k = 1).
+    """
+    labels = tree.labels
+    memo: dict[int, tuple[int, R]] = {}
+    for masks in _block_stream(tree, k):
+        if len(memo) > 4 * len(masks) + 256:
+            memo.clear()
+        parts = []
+        for bm in masks:
+            hit = memo.get(bm)
+            if hit is None:
+                hit = memo[bm] = ((bm & -bm).bit_length(), render(_decode(labels, bm)))
+            parts.append(hit)
+        parts.sort(key=itemgetter(0))
+        yield [r for _, r in parts]
+
+
 def enumerate_convex(tree: Tree, k: int = 1) -> Iterator[Character]:
     """Stream every convex character of ``tree`` with min block size >= k,
     exactly once.
@@ -273,9 +310,8 @@ def enumerate_convex(tree: Tree, k: int = 1) -> Iterator[Character]:
     the stream is single-consumer, but independent streams over the same
     tree are safe.
     """
-    labels = tree.labels
-    for masks in _block_stream(tree, k):
-        yield _to_character(labels, masks)
+    for blocks in _rendered(tree, k, tuple):
+        yield Character._canonical(tuple(blocks))
 
 
 def stream_encoding(tree: Tree, f) -> tuple[int, ...]:

@@ -15,7 +15,7 @@ import json
 import sys
 
 from .bench import run_bench
-from .characters import enumerate_convex
+from .characters import _rendered
 from .counting import count_convex, rate_table_tsv
 from .generators import caterpillar, fully_loaded, random_tree
 from .solvers import SolveInstance, solve
@@ -49,19 +49,23 @@ def _read_trees(path: str) -> list[tuple[int, Tree]]:
     return out
 
 
-def non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
+def _int_at_least(low: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
 
 
-def _csv_ints(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _csv_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _csv_of(convert):
+    def parse(text: str) -> list:
+        try:
+            return [convert(tok) for tok in text.split(",") if tok.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not a comma-separated list of {convert.__name__}s: {text!r}") from None
+    return parse
 
 
 def _cmd_count(args) -> int:
@@ -70,16 +74,22 @@ def _cmd_count(args) -> int:
     return EXIT_OK
 
 
+def _json_line(blocks: list[str]) -> str:
+    return "[" + ", ".join(blocks) + "]"
+
+
 def _cmd_list(args) -> int:
+    # Byte-identical to Character.text() and json.dumps(Character.to_lists()).
+    if args.format == "json":
+        render, line = json.dumps, _json_line
+    else:
+        render, line = ",".join, "|".join
     emitted = 0
     for _, tree in _read_trees(args.tree_file):
-        for ch in enumerate_convex(tree, args.k):
+        for blocks in _rendered(tree, args.k, render):
             if args.limit is not None and emitted >= args.limit:
                 return EXIT_TRUNCATED
-            if args.format == "json":
-                print(json.dumps(ch.to_lists()))
-            else:
-                print(ch.text())
+            print(line(blocks))
             emitted += 1
     return EXIT_OK
 
@@ -106,8 +116,8 @@ def _cmd_rate(args) -> int:
 def _cmd_bench(args) -> int:
     records = run_bench(
         families=[f.strip() for f in args.families.split(",") if f.strip()],
-        ks=_csv_ints(args.k_list),
-        budgets=_csv_floats(args.budgets),
+        ks=args.k_list,
+        budgets=args.budgets,
         seed=args.seed,
         n_cap=args.n_cap,
     )
@@ -155,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("list", help="stream all level-k convex characters")
     p.add_argument("tree_file")
     p.add_argument("-k", type=int, default=1)
-    p.add_argument("--limit", type=non_negative_int, default=None,
+    p.add_argument("--limit", type=_int_at_least(0), default=None,
                    help="stop after this many lines (exit 3)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_list)
@@ -173,16 +183,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="largest n fully listable per wall-clock budget")
     p.add_argument("--families", default="caterpillar,random")
-    p.add_argument("--k-list", default="1,2,3")
-    p.add_argument("--budgets", default="1")
+    p.add_argument("--k-list", type=_csv_of(int), default="1,2,3")
+    p.add_argument("--budgets", type=_csv_of(float), default="1")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-cap", type=int, default=64)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("verify", help="run the property suite; nonzero exit on failure")
-    p.add_argument("--nmax", type=int, default=9)
-    p.add_argument("--kmax", type=int, default=4)
-    p.add_argument("--samples", type=int, default=200)
+    # The suite needs trees of 4 taxa, k = 2 and one sample; nmax > 14 is
+    # the oracle's own guard (exit 1).
+    p.add_argument("--nmax", type=_int_at_least(4), default=9)
+    p.add_argument("--kmax", type=_int_at_least(2), default=4)
+    p.add_argument("--samples", type=_int_at_least(1), default=200)
     p.add_argument("--seed", type=int, default=20260810)
     p.set_defaults(func=_cmd_verify)
 

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .characters import Character, _block_stream, _convex, _parsimony, _to_character
+from .characters import Character, _block_stream, _convex, _decode, _parsimony
 from .trees import Tree, parse_newick
 
 MODES = (
@@ -141,8 +141,11 @@ def _scan(tree: Tree, k: int, score: Callable, first_only: bool = False) -> Solv
             best, best_value = masks, value
             if first_only:
                 break
+    # Disjoint blocks differ in their first label, so sorting the label
+    # tuples puts them in canonical order.
     return SolveResult(
-        character=None if best is None else _to_character(tree.labels, best),
+        character=None if best is None else Character._canonical(
+            tuple(sorted(_decode(tree.labels, bm) for bm in best))),
         objective_value=best_value,
         characters_scanned=scanned,
         wall_time=time.perf_counter() - start,

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import convchar
 from convchar import (
@@ -13,12 +18,15 @@ from convchar import (
     caterpillar,
     caterpillar_count,
     count_convex,
+    enumerate_convex,
     fibonacci,
     fully_loaded_count,
     parse_newick,
     parsimony_score,
+    random_tree,
     run_bench,
 )
+from convchar.characters import _block_stream
 from convchar.cli import main
 
 EXAMPLE = "(((a,b),c),((f,g),e),d);"
@@ -188,9 +196,59 @@ class TestCli:
         assert main(["count", "-", "-k", "1"]) == 0
         assert capsys.readouterr().out.strip().endswith("233")
 
-    def test_usage_error_exit_code(self):
+    def test_usage_error_exit_code(self, capsys):
         assert main(["count"]) == 2
         assert main(["nonsense"]) == 2
+        for argv in (
+            ["verify", "--nmax", "3"],
+            ["verify", "--kmax", "1"],
+            ["verify", "--samples", "0"],
+            ["bench", "--k-list", "x"],
+            ["bench", "--budgets", "1,y"],
+        ):
+            assert main(argv) == 2, argv
+            assert capsys.readouterr().out == "", argv
+
+
+# Labels JSON must escape, non-ASCII ones and ones sorting around ",".
+LABELS = ('a"b', "c\\d", "é", "Ω", "!", "#", "~", "a", "ab", "B", "x", "z9", "q", "m")
+
+
+@st.composite
+def list_requests(draw):
+    n = draw(st.integers(3, 12))
+    names = draw(st.lists(st.sampled_from(LABELS), min_size=n, max_size=n, unique=True))
+    tree = random_tree(n, seed=draw(st.integers(0, 2**32)), labels=names)
+    return tree, draw(st.integers(1, 4)), draw(st.none() | st.integers(0, 40))
+
+
+@settings(max_examples=40, deadline=None)
+@given(list_requests())
+def test_list_renders_each_character_byte_identically(request):
+    """``list`` prints exactly ``Character.text()`` / ``json.dumps(to_lists())``
+    of the validated character of every block-mask tuple in stream order,
+    and ``enumerate_convex`` yields those same characters."""
+    tree, k, limit = request
+    expected = [Character(tree._labels_of(m) for m in masks) for masks in _block_stream(tree, k)]
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "tree.nwk")
+        Path(path).write_text(tree.canonical_newick() + "\n", encoding="utf-8")
+        for fmt, render in (("text", Character.text),
+                            ("json", lambda ch: json.dumps(ch.to_lists()))):
+            argv, want, code = ["list", path, "-k", str(k), "--format", fmt], expected, 0
+            if limit is not None:
+                argv += ["--limit", str(limit)]
+                if len(expected) > limit:
+                    want, code = expected[:limit], 3
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(argv) == code
+            assert out.getvalue() == "".join(render(ch) + "\n" for ch in want)
+    streamed = list(enumerate_convex(tree, k))
+    assert streamed == expected
+    for ch in streamed:
+        assert ch == Character(ch.blocks) and ch.blocks == Character(ch.blocks).blocks
+        assert all(type(b) is tuple for b in ch.blocks)
 
 
 class TestDeepTrees:
