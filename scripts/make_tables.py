@@ -12,12 +12,13 @@ Equivalent CLI calls: ``convchar rate`` and ``convchar bench``.
 import argparse
 
 from convchar import caterpillar_count, fully_loaded_count, rate_table_tsv, run_bench
+from convchar.cli import _csv_of, _int_at_least
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--kmax", type=int, default=6)
-    ap.add_argument("--budgets", default="0.5,2")
+    ap.add_argument("--kmax", type=_int_at_least(1), default=6)
+    ap.add_argument("--budgets", type=_csv_of(float), default="0.5,2")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
@@ -31,13 +32,12 @@ def main() -> None:
         for k in range(2, args.kmax + 1):
             print(f"{n}\t{k}\t{fully_loaded_count(n, k)}\t{caterpillar_count(n, k)}")
 
-    budgets = [float(b) for b in args.budgets.split(",") if b.strip()]
     print("\n# listing benchmark (wall clock)")
     print("family\tk\tbudget_s\tmax_n_completed\tcharacters_listed\tseed")
     for rec in run_bench(
         families=("caterpillar", "random"),
         ks=list(range(1, args.kmax + 1)),
-        budgets=budgets,
+        budgets=args.budgets,
         seed=args.seed,
     ):
         print(rec.tsv())

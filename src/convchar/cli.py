@@ -178,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("rate", help="growth-rate table: k, min_rate, max_rate")
-    p.add_argument("--kmax", type=int, default=6)
+    p.add_argument("--kmax", type=_int_at_least(1), default=6)
     p.set_defaults(func=_cmd_rate)
 
     p = sub.add_parser("bench", help="largest n fully listable per wall-clock budget")

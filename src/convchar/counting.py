@@ -180,15 +180,16 @@ class GrowthRate:
     residual: float
 
 
-def _bisect_root(poly, lo: float, hi: float) -> float:
-    flo = poly(lo)
+def _bisect_root(f, lo: float, hi: float) -> float:
+    """Root of ``f`` in (lo, hi), where ``f`` is negative below the root and
+    positive above it."""
     for _ in range(200):
         mid = (lo + hi) / 2
-        fmid = poly(mid)
+        fmid = f(mid)
         if fmid == 0.0:
             return mid
-        if (fmid < 0) == (flo < 0):
-            lo, flo = mid, fmid
+        if fmid < 0:
+            lo = mid
         else:
             hi = mid
     return (lo + hi) / 2
@@ -200,7 +201,10 @@ def growth_rate(k: int) -> GrowthRate:
     if k == 1:
         r = PHI * PHI
         return GrowthRate(1, r, r, 0.0)
-    alpha = _bisect_root(lambda x: x ** k - x ** (k - 1) - 1, 1.0, 2.0)
+    # x^k - x^(k-1) - 1 = x^(k-1) (x-1) - 1 has the sign of the logarithm
+    # below on (1, 2]; x**k itself overflows a float at the first midpoint,
+    # 1.5, once k > 1750.
+    alpha = _bisect_root(lambda x: (k - 1) * math.log(x) + math.log(x - 1), 1.0, 2.0)
     residual = abs(alpha ** k - alpha ** (k - 1) - 1)
     return GrowthRate(k, PHI ** (1.0 / (k - 1)), alpha, residual)
 

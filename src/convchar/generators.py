@@ -14,7 +14,7 @@ import string
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .trees import Split, Tree, Tripartition, parse_newick
+from .trees import Split, Tree, Tripartition, _assemble, parse_newick
 
 
 def default_labels(n: int) -> list[str]:
@@ -50,6 +50,18 @@ def caterpillar(n: int, labels: Sequence[str] | None = None) -> Tree:
     return parse_newick(_rooted_chain(labs) + ";")
 
 
+def _edge_tree(edges: list[tuple[int, int]], labs: Sequence[str], m: int) -> Tree:
+    """The tree on leaves 0..m-1 (leaf i labelled ``labs[i]``) and internal
+    vertices m..2m-3 with the given edges."""
+    adj: list[list[int]] = [[] for _ in range(max(1, 2 * m - 2))]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    for nbs in adj:
+        nbs.sort()
+    return _assemble(adj, {i: labs[i] for i in range(m)})
+
+
 def random_tree(n: int, seed: int = 0, labels: Sequence[str] | None = None) -> Tree:
     """Uniform random labelled topology on n >= 3 taxa, deterministic per
     seed.
@@ -72,13 +84,7 @@ def random_tree(n: int, seed: int = 0, labels: Sequence[str] | None = None) -> T
         edges[idx] = (u, w)
         edges.append((w, v))
         edges.append((w, leaf))
-    adj: dict[int, set[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    from .trees import _assemble
-
-    return _assemble(adj, {i: labs[i] for i in range(n)})
+    return _edge_tree(edges, labs, n)
 
 
 def all_topologies(labels: Sequence[str]) -> Iterator[Tree]:
@@ -86,22 +92,11 @@ def all_topologies(labels: Sequence[str]) -> Iterator[Tree]:
     (2n-5)!! trees, generated by recursive leaf insertion."""
     labs = _unique_labels(len(labels), labels)
     n = len(labs)
-    from .trees import _assemble
-
-    def build(edges: list[tuple[int, int]], m: int) -> Tree:
-        adj: dict[int, set[int]] = {}
-        for u, v in edges:
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
-        if m == 1:
-            adj = {0: set()}
-        return _assemble(adj, {i: labs[i] for i in range(m)})
-
     if n == 1:
-        yield build([], 1)
+        yield _edge_tree([], labs, 1)
         return
     if n == 2:
-        yield build([(0, 1)], 2)
+        yield _edge_tree([(0, 1)], labs, 2)
         return
 
     edges = [(0, n), (1, n), (2, n)]
@@ -109,7 +104,7 @@ def all_topologies(labels: Sequence[str]) -> Iterator[Tree]:
 
     def rec(leaf: int) -> Iterator[Tree]:
         if leaf == n:
-            yield build(edges, n)
+            yield _edge_tree(edges, labs, n)
             return
         w = nxt[0]
         nxt[0] += 1

@@ -10,12 +10,10 @@ form.
 
 from __future__ import annotations
 
-from collections import deque
+import re
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, NamedTuple
-
-_RESERVED = frozenset("(),;:")
 
 
 class TreeError(ValueError):
@@ -63,18 +61,31 @@ class _RootData(NamedTuple):
     postorder: tuple[int, ...]  # every child precedes its parent; root last
 
 
+# A taxon label: anything but whitespace and the Newick punctuation.
+_LABEL = re.compile(r"[^\s(),;:]+")
+# One Newick token after optional whitespace: punctuation or a word (a
+# label or a branch length).  Applied to text without its ';'.
+_TOKEN = re.compile(r"\s*([(),:]|[^(),:;\s]+)")
+_PUNCT = frozenset("(),:")
+
+
 def _check_label(label: str) -> None:
     if not isinstance(label, str) or not label:
         raise TreeError("taxon labels must be non-empty strings")
-    if any(c.isspace() for c in label) or any(c in _RESERVED for c in label):
+    if not _LABEL.fullmatch(label):
         raise TreeError(f"invalid taxon label {label!r}")
 
 
-def _assemble(adj: dict[int, set[int]], leaf_labels: dict[int, str]) -> "Tree":
+def _assemble(adj: list[list[int] | None], leaf_labels: dict[int, str]) -> "Tree":
     """Validate and normalize a raw adjacency into a Tree.
 
-    ``adj`` maps surviving vertex ids to neighbor sets, ``leaf_labels`` maps
-    the labelled vertices.  Internal ids are renumbered deterministically.
+    ``adj[v]`` lists the neighbours of vertex ``v`` in ascending order, or
+    is None for a vertex that is gone; ``leaf_labels`` maps the labelled
+    vertices.  Unlabelled vertices of degree 2 (the root of a rooted
+    representation) are suppressed in place, so ``adj`` is consumed.
+    Leaves are renumbered by sorted label, internal vertices in
+    breadth-first discovery order from the smallest label, neighbours
+    visited in ascending order.
     """
     n = len(leaf_labels)
     if n == 0:
@@ -83,50 +94,81 @@ def _assemble(adj: dict[int, set[int]], leaf_labels: dict[int, str]) -> "Tree":
     for lab in labels:
         _check_label(lab)
     if len(set(labels)) != n:
-        dup = next(l for i, l in enumerate(labels) if l in labels[:i])
+        dup = next(labels[i] for i in range(1, n) if labels[i] == labels[i - 1])
         raise TreeError(f"duplicate taxon label {dup!r}")
 
-    vertices = set(adj)
-    if set(leaf_labels) - vertices:
+    V = len(adj)
+    if any(v >= V or adj[v] is None for v in leaf_labels):
         raise TreeError("labelled vertex missing from adjacency")
+    vertices = V - adj.count(None)
     if n == 1:
         (v,) = leaf_labels
-        if len(vertices) != 1 or adj[v]:
+        if vertices != 1 or adj[v]:
             raise TreeError("single-taxon tree must be a lone vertex")
         return Tree((labels[0],), ((),))
 
-    for v, nbs in adj.items():
-        want = 1 if v in leaf_labels else 3
-        if len(nbs) != want:
-            kind = "leaf" if v in leaf_labels else "internal vertex"
-            raise TreeError(f"{kind} has degree {len(nbs)}, expected {want}")
-    edge_count = sum(len(nbs) for nbs in adj.values()) // 2
-    if edge_count != len(vertices) - 1:
+    # A sound leaf reads 0, a sound internal vertex 3 (or 2: suppressed).
+    degree = [-1 if nbs is None else len(nbs) for nbs in adj]
+    for v in leaf_labels:
+        degree[v] -= 1
+    if degree.count(0) != n or degree.count(3) + degree.count(2) != vertices - n:
+        _degree_error(adj, leaf_labels)
+    if sum(degree) + n + V - vertices != 2 * (vertices - 1):
         raise TreeError("graph is not a tree")
+    for v in [v for v, d in enumerate(degree) if d == 2]:
+        a, b = adj[v]
+        for x, y in ((a, b), (b, a)):
+            xs = adj[x]
+            xs[xs.index(v)] = y
+            xs.sort()
+        adj[v] = None
+        vertices -= 1
 
     # Renumber: leaves by sorted label, internals in BFS discovery order.
-    label_rank = {lab: i for i, lab in enumerate(labels)}
-    new_id = {old: label_rank[lab] for old, lab in leaf_labels.items()}
-    start = next(old for old, lab in leaf_labels.items() if lab == labels[0])
+    new_id = [-1] * V
+    rank = {lab: i for i, lab in enumerate(labels)}
+    for v, lab in leaf_labels.items():
+        new_id[v] = rank[lab]
+    start = next(v for v, lab in leaf_labels.items() if lab == labels[0])
+    seen = [False] * V
+    seen[start] = True
+    order = [start]
     nxt = n
-    seen = {start}
-    dq = deque([start])
-    while dq:
-        v = dq.popleft()
-        for u in sorted(adj[v]):
-            if u not in seen:
-                seen.add(u)
-                if u not in new_id:
+    for v in order:
+        for u in adj[v]:
+            if not seen[u]:
+                seen[u] = True
+                if new_id[u] < 0:
                     new_id[u] = nxt
                     nxt += 1
-                dq.append(u)
-    if len(seen) != len(vertices):
+                order.append(u)
+    if len(order) != vertices:
         raise TreeError("graph is not connected")
 
-    new_adj: list[list[int]] = [[] for _ in range(len(vertices))]
-    for v, nbs in adj.items():
-        new_adj[new_id[v]] = sorted(new_id[u] for u in nbs)
-    return Tree(tuple(labels), tuple(tuple(a) for a in new_adj))
+    new_adj: list = [None] * vertices
+    for v in order:
+        new_adj[new_id[v]] = tuple(sorted([new_id[u] for u in adj[v]]))
+    return Tree(tuple(labels), tuple(new_adj))
+
+
+def _degree_error(adj: list[list[int] | None], leaf_labels: dict[int, str]):
+    """Raise for the vertex of wrong degree nearest the last vertex (a
+    parsed tree's root), breadth first, as the text reads from its root."""
+    def wrong(v: int) -> bool:
+        d = len(adj[v])
+        return d != 1 if v in leaf_labels else d not in (2, 3)
+
+    start = max(v for v, nbs in enumerate(adj) if nbs is not None)
+    order, seen = [start], {start}
+    for v in order:
+        for u in adj[v]:
+            if u not in seen:
+                seen.add(u)
+                order.append(u)
+    order += [v for v, nbs in enumerate(adj) if nbs is not None and v not in seen]
+    v = next(v for v in order if wrong(v))
+    kind, want = ("leaf", 1) if v in leaf_labels else ("internal vertex", 3)
+    raise TreeError(f"{kind} has degree {len(adj[v])}, expected {want}")
 
 
 class Tree:
@@ -344,28 +386,17 @@ class Tree:
             raise ValueError("subset must be non-empty")
         if len(keep_ids) == self._n:
             return self
-        V = len(self._adj)
-        adj: dict[int, set[int]] = {v: set(self._adj[v]) for v in range(V)}
-        dq = deque(v for v in range(self._n) if v not in keep_ids)
-        while dq:
-            v = dq.pop()
-            if v not in adj:
-                continue
-            for u in adj.pop(v):
+        adj: list[list[int] | None] = [list(nbs) for nbs in self._adj]
+        drop = [v for v in range(self._n) if v not in keep_ids]
+        while drop:
+            v = drop.pop()
+            for u in adj[v]:
                 nbs = adj[u]
-                nbs.discard(v)
+                nbs.remove(v)
                 if len(nbs) == 1 and u >= self._n:
-                    dq.append(u)
-        for v in [w for w in adj if w >= self._n and len(adj[w]) == 2]:
-            if v in adj and len(adj[v]) == 2:
-                a, b = adj[v]
-                adj[a].discard(v)
-                adj[b].discard(v)
-                adj[a].add(b)
-                adj[b].add(a)
-                del adj[v]
-        leaf_labels = {v: self._labels[v] for v in keep_ids}
-        return _assemble(adj, leaf_labels)
+                    drop.append(u)
+            adj[v] = None
+        return _assemble(adj, {v: self._labels[v] for v in keep_ids})
 
     def delete(self, drop: Iterable[str]) -> "Tree":
         """Restriction to the complement of ``drop``."""
@@ -467,124 +498,68 @@ def parse_newick(text: str) -> Tree:
     if ";" in s:
         raise NewickError("more than one ';'")
 
-    children: list[list[int]] = []   # per node id
-    labels: dict[int, str] = {}
-    stack: list[list[int]] = [[]]
-
-    def new_node(kids: list[int], label: str | None) -> int:
-        nid = len(children)
-        children.append(kids)
-        if label is not None:
-            labels[nid] = label
-        return nid
-
-    i, length = 0, len(s)
-
-    def skip_ws(j: int) -> int:
-        while j < length and s[j].isspace():
-            j += 1
-        return j
-
-    def read_token(j: int) -> tuple[str, int]:
-        start = j
-        while j < length and s[j] not in _RESERVED and not s[j].isspace():
-            j += 1
-        return s[start:j], j
-
-    def skip_length(j: int) -> int:
-        j = skip_ws(j)
-        if j < length and s[j] == ":":
-            j = skip_ws(j + 1)
-            tok, j = read_token(j)
-            if not tok:
-                raise NewickError("':' without a branch length")
-            try:
-                float(tok)
-            except ValueError:
-                raise NewickError(f"bad branch length {tok!r}") from None
-        return j
-
+    tokens = _TOKEN.findall(s)
+    # Parse nodes are numbered as they close, so every neighbour list comes
+    # out ascending: children in text order, then the parent.  A unary group
+    # "(x)" is x itself and gets no node.
+    adj: list[list[int]] = []
+    leaf_labels: dict[int, str] = {}
+    stack: list[list[int]] = [[]]  # children of each open group
     expecting_item = True
-    while True:
-        i = skip_ws(i)
-        if i >= length:
-            break
-        c = s[i]
-        if c == "(":
+    i, end = 0, len(tokens)
+    while i < end:
+        tok = tokens[i]
+        i += 1
+        if tok == "(":
             if not expecting_item:
                 raise NewickError("unexpected '('")
             stack.append([])
-            i += 1
-        elif c == ",":
+            continue
+        if tok == ",":
             if expecting_item:
                 raise NewickError("empty label before ','")
             if len(stack) < 2:
                 raise NewickError("',' outside parentheses")
             expecting_item = True
-            i += 1
-        elif c == ")":
+            continue
+        if tok == ":":
+            raise NewickError("unexpected ':'")
+        if tok == ")":
             if expecting_item:
                 raise NewickError("empty label before ')'")
             kids = stack.pop()
             if not stack:
                 raise NewickError("unbalanced ')'")
-            i = skip_ws(i + 1)
-            tok, i = read_token(i)  # internal label, discarded
-            i = skip_length(i)
-            stack[-1].append(new_node(kids, None))
-            expecting_item = False
-        elif c == ":":
-            raise NewickError("unexpected ':'")
+            if len(kids) == 1:
+                v = kids[0]
+            else:
+                v = len(adj)
+                adj.append(kids)
+                for c in kids:
+                    adj[c].append(v)
+            if i < end and tokens[i] not in _PUNCT:
+                i += 1  # internal label, discarded
         else:
             if not expecting_item:
-                raise NewickError(f"unexpected text at {s[i:i + 10]!r}")
-            tok, i = read_token(i)
-            i = skip_length(i)
-            stack[-1].append(new_node([], tok))
-            expecting_item = False
+                at = [m.start(1) for m in _TOKEN.finditer(s)][i - 1]
+                raise NewickError(f"unexpected text at {s[at:at + 10]!r}")
+            v = len(adj)
+            adj.append([])
+            leaf_labels[v] = tok
+        stack[-1].append(v)
+        expecting_item = False
+        if i < end and tokens[i] == ":":
+            if i + 1 == end or tokens[i + 1] in _PUNCT:
+                raise NewickError("':' without a branch length")
+            try:
+                float(tokens[i + 1])
+            except ValueError:
+                raise NewickError(f"bad branch length {tokens[i + 1]!r}") from None
+            i += 2
     if len(stack) != 1:
         raise NewickError("unbalanced '('")
     if len(stack[0]) != 1:
         raise NewickError("expected a single tree")
-    def resolve(v: int) -> int:
-        # Collapse redundant unary groups like "((a,b))".
-        while len(children[v]) == 1:
-            v = children[v][0]
-        return v
-
-    root = resolve(stack[0][0])
-
-    # Build the undirected graph.
-    adj: dict[int, set[int]] = {root: set()}
-    leaf_labels: dict[int, str] = {}
-    dq = deque([root])
-    while dq:
-        v = dq.popleft()
-        if not children[v]:
-            if v not in labels:
-                raise NewickError("leaf without a label")
-            leaf_labels[v] = labels[v]
-            continue
-        for u0 in children[v]:
-            u = resolve(u0)
-            adj[v].add(u)
-            adj.setdefault(u, set()).add(v)
-            dq.append(u)
-
-    # Suppress degree-2 vertices (covers a rooted representation's root).
-    pending = deque(v for v in adj if v not in leaf_labels and len(adj[v]) == 2)
-    while pending:
-        v = pending.pop()
-        if v not in adj or len(adj[v]) != 2:
-            continue
-        a, b = adj[v]
-        adj[a].discard(v)
-        adj[b].discard(v)
-        if b in adj[a]:
-            raise NewickError("parallel edges after suppression")
-        adj[a].add(b)
-        adj[b].add(a)
-        del adj[v]
 
     try:
         return _assemble(adj, leaf_labels)

@@ -143,6 +143,13 @@ class TestCli:
             "3\t1.272\t1.466",
         ]
 
+    def test_rate_past_float_overflow(self, capsys):
+        # 1.5 ** k overflows a float for k > 1750.
+        assert main(["rate", "--kmax", "2000"]) == 0
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 2000
+        assert captured.err == ""
+
     def test_bench_rows(self, capsys):
         assert main(["bench", "--k-list", "2", "--budgets", "0.05", "--n-cap", "12"]) == 0
         rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
@@ -205,6 +212,7 @@ class TestCli:
             ["verify", "--samples", "0"],
             ["bench", "--k-list", "x"],
             ["bench", "--budgets", "1,y"],
+            ["rate", "--kmax", "0"],
         ):
             assert main(argv) == 2, argv
             assert capsys.readouterr().out == "", argv
