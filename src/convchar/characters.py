@@ -10,18 +10,22 @@ edges with two internal endpoints can ever conflict.
 k exactly once by backtracking over the counting DP's per-edge vectors, so
 no dead branch is ever entered and the stream is output-sensitive.  The
 stream order is lexicographic in the character's canonical edge-usage
-encoding (see :func:`stream_encoding`).  The backtracker yields block
-bitmasks, and ``_decode`` is the one way back to labels: ``_rendered`` decodes
-and renders each distinct block once per stream for ``enumerate_convex`` and
-the CLI's ``list``, and a solver decodes its answer.  ``Character`` objects
-built from masks go through the trusted ``Character._canonical``.
+encoding (see :func:`stream_encoding`).  The backtracker ``_block_stream``
+yields block bitmasks as deltas: a character after the first is rebuilt
+only from its last choice point up to the first pending step whose
+continuation is unchanged, and the previous character's blocks from there
+on are spliced back, so its Python work follows the changed region, not
+the depth of the tree.  ``_decode`` is the one way back to labels:
+``_rendered`` renders only the blocks a character adds, into one slot per
+smallest taxon id, for ``enumerate_convex`` and the CLI's ``list``, and a
+solver decodes its answer.  ``Character`` objects built from masks go
+through the trusted ``Character._canonical``.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from itertools import product
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .counting import _dp_tables, _join, _joined_children
@@ -197,14 +201,21 @@ def parsimony_score(tree: Tree, f) -> int:
     return _parsimony(tree, _block_masks(tree, f))
 
 
-def _block_stream(tree: Tree, k: int) -> Iterator[tuple[int, ...]]:
-    """Block-mask tuples of every convex character of ``tree`` with min
-    block size >= k, in stream order (see enumerate_convex).
+def _block_stream(tree: Tree, k: int) -> Iterator[tuple[list[int], list[int], list[int]]]:
+    """Every convex character of ``tree`` with min block size >= k, in
+    stream order (see enumerate_convex), as ``(live, dropped, added)``: the
+    character's block masks, and the masks dropped from and added to the
+    previous character's.  ``live`` is one list, updated in place.
 
     Explicit-stack backtracking over the DP's edge states (counting._join):
     an option fixes each child edge cut or open, f before g in encoding
     order, and g's allowed states follow from the state f reached.  Open
     blocks keep their taxa on a linked stack, so merging costs nothing.
+
+    A character after the first restarts at the last choice point, keeps
+    the blocks closed before it, and climbs back only as far as the first
+    pending step whose continuation is known to be unchanged: from there on
+    the previous character's blocks come back as they were.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -212,7 +223,7 @@ def _block_stream(tree: Tree, k: int) -> Iterator[tuple[int, ...]]:
     if n < k:
         return
     if n == 1:
-        yield (1,)
+        yield [1], [], [1]
         return
     children = _joined_children(tree)
     support = [0] * len(children)  # states with a nonzero count
@@ -223,7 +234,9 @@ def _block_stream(tree: Tree, k: int) -> Iterator[tuple[int, ...]]:
     halves = ((0,), range(1, k + 1))  # cut, open
 
     @cache  # lives as long as this stream
-    def options(v: int, S: int) -> list[tuple[int, dict[int, int]]]:
+    def options(v: int, S: int) -> list[tuple[int, tuple[int, dict[int, int], int]]]:
+        """Options for v's child edges f and g when v's edge is in S: f's
+        allowed states, and (g, g's allowed states per state of f, S)."""
         f, g = children[v]
         out = []
         for f_half, g_half in product(halves, repeat=2):
@@ -234,24 +247,41 @@ def _block_stream(tree: Tree, k: int) -> Iterator[tuple[int, ...]]:
                     if m:
                         g_allowed[j1] = m
             if g_allowed:
-                out.append((sum(1 << j for j in g_allowed), g_allowed))
+                out.append((sum(1 << j for j in g_allowed), (g, g_allowed, S)))
         return out
 
     # Start at the top vertex, whose edge must end cut.  Pending steps in
-    # ``cont``: (u, S_u, start, g_allowed) waits for f, (S_u, start, j1) for g.
+    # ``cont``: (start, (g, g_allowed, S_u)) waits for f and (start, j1,
+    # S_u, g) for g, where ``start`` is the open-taxa chain when their
+    # vertex was entered and j1 is the state f reached.
+    #
+    # A vertex has one live g step at a time, and the option that made it
+    # fixes g's edge cut or open.  With g's edge cut, the open taxa at the
+    # step are the ones f left, so all that follows is the same on every
+    # visit.  A visit records the block count in ``seen[g]`` and a cell in
+    # ``ends[g]`` that gets the character's final block count, unless a
+    # choice point is pushed later in that character; a new g step clears
+    # the record.  Every later character up to the next visit restarts
+    # below the step and ends with the same blocks after it, so the next
+    # visit to find a filled cell ends its character with the previous
+    # character's last ``ends[g][0] - seen[g]`` blocks.
     v, S, i, cont, opened = len(children) - 1, 1, 0, None, None
     blocks: list[int] = []
     choices: list = []
+    seen = [0] * len(children)
+    ends: list[list[int | None] | None] = [None] * len(children)
+    kept, tail, spliced, end = 0, [], 0, [None]
     while True:
         while v >= n:  # descend along option i, then first options
             opts = options(v, S)
             if i + 1 < len(opts):
                 choices.append((v, S, i + 1, cont, opened, len(blocks)))
-            s_f, g_allowed = opts[i]
-            cont = ((v, S, opened, g_allowed), cont)
-            v, S, i = children[v][0], s_f, 0
-        # A leaf's allowed set is one state: 0 (a singleton) or 1.
-        state, start, opened = S.bit_length() - 1, opened, (v, opened)
+                end = [None]
+            S, after_f = opts[i]
+            cont = ((opened, after_f), cont)
+            v, i = children[v][0], 0
+        # A leaf's allowed set is one state: 0 (a singleton, S = 1) or 1.
+        state, start, opened = S >> 1, opened, (v, opened)
         while True:  # finish vertices whose children are both done
             if not state and opened is not start:  # a block closes here
                 m = 0
@@ -259,45 +289,63 @@ def _block_stream(tree: Tree, k: int) -> Iterator[tuple[int, ...]]:
                     x, opened = opened
                     m |= 1 << x
                 blocks.append(m)
-            if cont is None or len(cont[0]) == 4:
+            if cont is None or len(cont[0]) == 2:
                 break
-            (S_u, start, j1), cont = cont
-            state = (join[j1][state] & S_u).bit_length() - 1
+            (start, j1, S_u, g), cont = cont
+            if state:
+                state = (join[j1][state] & S_u).bit_length() - 1
+                continue
+            last = ends[g]
+            if last is None or last[0] is None:
+                seen[g], ends[g] = len(blocks), end
+                state = j1
+                continue
+            spliced = last[0] - seen[g]
+            blocks += tail[len(tail) - spliced:]
+            del tail[len(tail) - spliced:]
+            cont = None
+            break
         if cont is not None:  # f is done: descend into g
-            (u, S_u, start, g_allowed), cont = cont
-            cont = ((S_u, start, state), cont)
-            v, S, i = children[u][1], g_allowed[state], 0
+            (start, (v, g_allowed, S_u)), cont = cont
+            cont = ((start, state, S_u, v), cont)
+            S = g_allowed[state]
+            ends[v], i = None, 0
             continue
-        yield tuple(blocks)
+        end[0] = len(blocks)
+        yield blocks, tail, blocks[kept:len(blocks) - spliced]
         if not choices:
             return
         v, S, i, cont, opened, kept = choices.pop()
+        tail = blocks[kept:]
         del blocks[kept:]
+        spliced, end = 0, [None]
 
 
-def _rendered(tree: Tree, k: int, render: Callable[[tuple[str, ...]], R]) -> Iterator[list[R]]:
+def _rendered(tree: Tree, k: int, render: Callable[[tuple[str, ...]], R]) -> Iterator[Iterator[R]]:
     """Per character of ``_block_stream(tree, k)``, ``render`` of each
     block's label tuple, in canonical block order (by smallest taxon id).
+    Each yielded iterator is valid until the next one is requested, and
+    ``render`` must return truthy values.
 
-    Consecutive characters share most of their blocks, so each distinct
-    block is decoded and rendered once and kept with its smallest taxon id.
-    The memo lives as long as the stream and is emptied whenever it holds
-    more than a few times the current character's blocks, which keeps it
-    bounded on streams with unboundedly many distinct blocks (k = 1).
+    One slot per taxon id holds the rendering of the block whose smallest
+    taxon it is, or None, so a character clears the slots of the blocks it
+    dropped, fills those of the blocks it added, and its line is the slots
+    that are set.  Each slot also keeps the last block rendered into it, so
+    a block that comes back is not rendered again.
     """
     labels = tree.labels
-    memo: dict[int, tuple[int, R]] = {}
-    for masks in _block_stream(tree, k):
-        if len(memo) > 4 * len(masks) + 256:
-            memo.clear()
-        parts = []
-        for bm in masks:
-            hit = memo.get(bm)
-            if hit is None:
-                hit = memo[bm] = ((bm & -bm).bit_length(), render(_decode(labels, bm)))
-            parts.append(hit)
-        parts.sort(key=itemgetter(0))
-        yield [r for _, r in parts]
+    slots: list[R | None] = [None] * tree.n
+    held = [0] * tree.n
+    rendering: list[R | None] = [None] * tree.n
+    for _, dropped, added in _block_stream(tree, k):
+        for bm in dropped:
+            slots[(bm & -bm).bit_length() - 1] = None
+        for bm in added:
+            i = (bm & -bm).bit_length() - 1
+            if held[i] != bm:
+                held[i], rendering[i] = bm, render(_decode(labels, bm))
+            slots[i] = rendering[i]
+        yield filter(None, slots)
 
 
 def enumerate_convex(tree: Tree, k: int = 1) -> Iterator[Character]:

@@ -159,12 +159,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="count level-k convex characters per input tree")
     p.add_argument("tree_file", help="Newick file, one tree per line, or '-'")
-    p.add_argument("-k", type=int, default=1, help="minimum block size")
+    p.add_argument("-k", type=_int_at_least(1), default=1, help="minimum block size")
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("list", help="stream all level-k convex characters")
     p.add_argument("tree_file")
-    p.add_argument("-k", type=int, default=1)
+    p.add_argument("-k", type=_int_at_least(1), default=1, help="minimum block size")
     p.add_argument("--limit", type=_int_at_least(0), default=None,
                    help="stop after this many lines (exit 3)")
     p.add_argument("--format", choices=("text", "json"), default="text")

@@ -24,11 +24,11 @@ MODES = (
 )
 
 
-def _sum_parsimony(masks: tuple[int, ...], trees: Sequence[Tree]) -> int:
+def _sum_parsimony(masks: Sequence[int], trees: Sequence[Tree]) -> int:
     return sum(_parsimony(t, masks) for t in trees)
 
 
-OBJECTIVES: dict[str, Callable[[tuple[int, ...], Sequence[Tree]], int]] = {
+OBJECTIVES: dict[str, Callable[[Sequence[int], Sequence[Tree]], int]] = {
     "sum_parsimony": _sum_parsimony,
 }
 
@@ -113,7 +113,7 @@ def _restricted_splits(tree: Tree, block: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def _agree(trees: Sequence[Tree], masks: tuple[int, ...]) -> bool:
+def _agree(trees: Sequence[Tree], masks: Sequence[int]) -> bool:
     """True iff the character is convex on every tree after the first (the
     scanned one) and each block restricts to the same tree in all of them."""
     return all(_convex(t, masks) for t in trees[1:]) and all(
@@ -126,19 +126,20 @@ def _scan(tree: Tree, k: int, score: Callable, first_only: bool = False) -> Solv
     one with the lowest value; with ``first_only``, stop at the first
     accepted one.
 
-    ``score(masks, best)`` gets the block masks and the incumbent value
-    (None before the first hit) and returns the character's value, or None
-    to reject it.
+    ``score(masks, best)`` gets the block masks, a list that the stream
+    reuses for the next character, and the incumbent value (None before
+    the first hit) and returns the character's value, or None to reject
+    it; only a new incumbent's masks are copied.
     """
     start = time.perf_counter()
     best: tuple[int, ...] | None = None
     best_value: int | None = None
     scanned = 0
-    for masks in _block_stream(tree, k):
+    for masks, _, _ in _block_stream(tree, k):
         scanned += 1
         value = score(masks, best_value)
         if value is not None and (best_value is None or value < best_value):
-            best, best_value = masks, value
+            best, best_value = tuple(masks), value
             if first_only:
                 break
     # Disjoint blocks differ in their first label, so sorting the label

@@ -213,6 +213,8 @@ class TestCli:
             ["bench", "--k-list", "x"],
             ["bench", "--budgets", "1,y"],
             ["rate", "--kmax", "0"],
+            ["count", "-", "-k", "0"],
+            ["list", "-", "-k", "-1"],
         ):
             assert main(argv) == 2, argv
             assert capsys.readouterr().out == "", argv
@@ -237,7 +239,7 @@ def test_list_renders_each_character_byte_identically(request):
     of the validated character of every block-mask tuple in stream order,
     and ``enumerate_convex`` yields those same characters."""
     tree, k, limit = request
-    expected = [Character(tree._labels_of(m) for m in masks) for masks in _block_stream(tree, k)]
+    expected = [Character(tree._labels_of(m) for m in masks) for masks, _, _ in _block_stream(tree, k)]
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "tree.nwk")
         Path(path).write_text(tree.canonical_newick() + "\n", encoding="utf-8")

@@ -1,0 +1,186 @@
+"""The delta block stream against the stream it replaced.
+
+``oracle_stream`` below is the block stream as it was before characters
+started splicing back the unchanged part of the previous character: every
+character rebuilt by climbing all pending steps up to the top vertex.  It
+is kept verbatim, as the judge of the order and content of
+``characters._block_stream``.  The work gate counts the line events of the
+stream's own code with ``sys.settrace``, so the library carries no counter
+and no hook.
+"""
+
+import sys
+from collections import Counter
+from functools import cache
+from itertools import islice, product, zip_longest
+from typing import Iterator
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from convchar import caterpillar, fully_loaded, parse_newick, random_tree
+from convchar.characters import _block_stream
+from convchar.counting import _dp_tables, _join, _joined_children
+from convchar.trees import Tree
+
+CAP = 20_000  # characters compared per stream
+
+
+def oracle_stream(tree: Tree, k: int) -> Iterator[tuple[int, ...]]:
+    """Block-mask tuples of every convex character of ``tree`` with min
+    block size >= k, in stream order (see enumerate_convex).
+
+    Explicit-stack backtracking over the DP's edge states (counting._join):
+    an option fixes each child edge cut or open, f before g in encoding
+    order, and g's allowed states follow from the state f reached.  Open
+    blocks keep their taxa on a linked stack, so merging costs nothing.
+    """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    n = tree.n
+    if n < k:
+        return
+    if n == 1:
+        yield (1,)
+        return
+    children = _joined_children(tree)
+    support = [0] * len(children)  # states with a nonzero count
+    for v, vec in _dp_tables(tree, k):
+        support[v] = sum(1 << s for s, x in enumerate(vec) if x)
+    states = range(k + 1)
+    join = [[sum(1 << s for s in _join(j1, j2, k)) for j2 in states] for j1 in states]
+    halves = ((0,), range(1, k + 1))  # cut, open
+
+    @cache  # lives as long as this stream
+    def options(v: int, S: int) -> list[tuple[int, dict[int, int]]]:
+        f, g = children[v]
+        out = []
+        for f_half, g_half in product(halves, repeat=2):
+            g_allowed = {}
+            for j1 in f_half:
+                if support[f] >> j1 & 1:
+                    m = sum(1 << j2 for j2 in g_half if support[g] >> j2 & 1 and join[j1][j2] & S)
+                    if m:
+                        g_allowed[j1] = m
+            if g_allowed:
+                out.append((sum(1 << j for j in g_allowed), g_allowed))
+        return out
+
+    # Start at the top vertex, whose edge must end cut.  Pending steps in
+    # ``cont``: (u, S_u, start, g_allowed) waits for f, (S_u, start, j1) for g.
+    v, S, i, cont, opened = len(children) - 1, 1, 0, None, None
+    blocks: list[int] = []
+    choices: list = []
+    while True:
+        while v >= n:  # descend along option i, then first options
+            opts = options(v, S)
+            if i + 1 < len(opts):
+                choices.append((v, S, i + 1, cont, opened, len(blocks)))
+            s_f, g_allowed = opts[i]
+            cont = ((v, S, opened, g_allowed), cont)
+            v, S, i = children[v][0], s_f, 0
+        # A leaf's allowed set is one state: 0 (a singleton) or 1.
+        state, start, opened = S.bit_length() - 1, opened, (v, opened)
+        while True:  # finish vertices whose children are both done
+            if not state and opened is not start:  # a block closes here
+                m = 0
+                while opened is not start:
+                    x, opened = opened
+                    m |= 1 << x
+                blocks.append(m)
+            if cont is None or len(cont[0]) == 4:
+                break
+            (S_u, start, j1), cont = cont
+            state = (join[j1][state] & S_u).bit_length() - 1
+        if cont is not None:  # f is done: descend into g
+            (u, S_u, start, g_allowed), cont = cont
+            cont = ((S_u, start, state), cont)
+            v, S, i = children[u][1], g_allowed[state], 0
+            continue
+        yield tuple(blocks)
+        if not choices:
+            return
+        v, S, i, cont, opened, kept = choices.pop()
+        del blocks[kept:]
+
+
+def assert_same_stream(tree, k, cap=CAP):
+    """Same characters in the same order, and every delta consistent:
+    the dropped blocks were in the previous character, and the previous
+    character without them, plus the added blocks, is the current one."""
+    previous: Counter = Counter()
+    for index, (want, got) in enumerate(zip_longest(
+        islice(oracle_stream(tree, k), cap),
+        islice(_block_stream(tree, k), cap),
+    )):
+        assert want is not None and got is not None, index
+        live, dropped, added = got
+        assert sorted(live) == sorted(want), index
+        dropped, added = Counter(dropped), Counter(added)
+        assert dropped <= previous, index
+        previous = previous - dropped + added
+        assert previous == Counter(live), index
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 11), k=st.integers(1, 5), seed=st.integers(0, 2**32))
+def test_random_trees_match_oracle(n, k, seed):
+    assert_same_stream(random_tree(n, seed=seed), k)
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(3, 23), k=st.integers(1, 4))
+def test_caterpillars_match_oracle(n, k):
+    assert_same_stream(caterpillar(n), k)
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(12, 25), load=st.integers(3, 5), data=st.data())
+def test_fully_loaded_trees_match_oracle(n, load, data):
+    k = data.draw(st.integers(2, load), label="k")
+    assert_same_stream(fully_loaded(n, load), k)
+
+
+def test_tiny_and_empty_streams_match_oracle():
+    for text in ("x;", "(x,y);", "(x,y,z);"):
+        for k in (1, 2, 3, 4):
+            assert_same_stream(parse_newick(text), k)
+
+
+def line_events_per_character(tree, k, first=2, last=201):
+    """Line events of ``_block_stream``'s code per character, from
+    character ``first`` to ``last``."""
+    code = _block_stream.__code__
+    events = 0
+
+    def local(frame, event, arg):
+        nonlocal events
+        if event == "line":
+            events += 1
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code is code else None
+
+    stream = _block_stream(tree, k)
+    for _ in range(first - 1):
+        next(stream)
+    before = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        for _ in range(last - first + 1):
+            next(stream)
+    finally:
+        sys.settrace(before)
+    return events / (last - first + 1)
+
+
+def test_work_per_character_is_flat_in_depth():
+    """A character costs work in proportion to what changes: on a
+    caterpillar at k=3 that stays flat from 200 to 2000 taxa, and stays
+    close to a random tree's, whose depth is far smaller."""
+    deep = line_events_per_character(caterpillar(2000), 3)
+    shallow = line_events_per_character(caterpillar(200), 3)
+    bushy = line_events_per_character(random_tree(2000), 3)
+    assert deep <= 1.5 * shallow, (deep, shallow)
+    assert deep <= 3 * bushy, (deep, bushy)
