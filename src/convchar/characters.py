@@ -142,7 +142,11 @@ def _decode(labels: tuple[str, ...], bm: int) -> tuple[str, ...]:
 
 
 def _convex(tree: Tree, masks: Sequence[int]) -> bool:
-    """Convexity of a partition of the tree's taxa given as block masks."""
+    """Convexity of a partition of the tree's taxa given as block masks, by
+    counting the blocks each internal edge splits.  O(edges x blocks) when
+    it accepts, but it stops at the first edge that splits two blocks, so it
+    is the cheaper test where most partitions are rejected early
+    (``solvers._agree``); ``is_convex`` uses one Fitch pass instead."""
     for em in tree._internal_edge_masks():
         crossing = 0
         for bm in masks:
@@ -155,40 +159,52 @@ def _convex(tree: Tree, masks: Sequence[int]) -> bool:
 
 
 def _parsimony(tree: Tree, masks: Sequence[int]) -> int:
-    """Fitch score of a partition given as block masks (see parsimony_score)."""
+    """Fitch score of a partition given as block masks (see parsimony_score).
+
+    One flat pass on the tree rooted at taxon 0: each leaf's state set is
+    the bit of its block, and each internal vertex in postorder takes the
+    intersection of its two children's sets, or their union at the cost of
+    one change; the edge to taxon 0 costs one more when its child's set
+    misses taxon 0's block.
+    """
     n = tree.n
     if n == 1:
         return 0
-    block_of = [0] * n
-    for bi, bm in enumerate(masks):
+    rd = tree._rooting()
+    children = rd.children
+    states = [0] * len(children)
+    bit = 1
+    for bm in masks:
         while bm:
             low = bm & -bm
-            block_of[low.bit_length() - 1] = bi
+            states[low.bit_length() - 1] = bit
             bm ^= low
-    rd = tree._rooting()
-    states = [0] * tree.num_vertices()
+        bit <<= 1
     score = 0
     for v in rd.postorder:
-        if v == 0:
-            continue
-        if v < n:
-            states[v] = 1 << block_of[v]
-        else:
-            a, b = (states[c] for c in rd.children[v])
+        if v >= n:
+            f, g = children[v]
+            a, b = states[f], states[g]
             inter = a & b
             if inter:
                 states[v] = inter
             else:
                 states[v] = a | b
                 score += 1
-    if not states[rd.children[0][0]] & (1 << block_of[0]):
+    if not states[children[0][0]] & states[0]:
         score += 1
     return score
 
 
 def is_convex(tree: Tree, f) -> bool:
-    """True iff the blocks' minimal spanning subtrees are pairwise disjoint."""
-    return _convex(tree, _block_masks(tree, f))
+    """True iff the blocks' minimal spanning subtrees are pairwise disjoint.
+
+    Decided by the Fitch equality: a partition into b blocks scores at
+    least b - 1, with equality exactly when it is convex, so one linear
+    Fitch pass settles it.
+    """
+    masks = _block_masks(tree, f)
+    return _parsimony(tree, masks) == len(masks) - 1
 
 
 def parsimony_score(tree: Tree, f) -> int:

@@ -3,9 +3,18 @@
 Every solver is one scan (:func:`_scan`) over the block-mask stream of one
 tree's convex characters, with a score function per mode; a ``Character``
 is built only for the answer.  Trees on one taxon set share taxon ids, so a
-block mask names the same taxa in every input tree.  No branch-and-bound:
-any problem which projects down onto convex characters gets an exact solver
-for free, at O(alpha_k^n * poly(n)) worst case.
+block mask names the same taxa in every input tree.  Any problem which
+projects down onto convex characters gets an exact solver for free, at
+O(alpha_k^n * poly(n)) worst case.
+
+The one bound is the Fitch floor: a partition into b blocks has parsimony
+score at least b - 1 on every tree, with equality exactly when it is convex
+there.  The objective scan therefore scores the scanned tree as b - 1
+without a Fitch pass, and rejects a character, before or between Fitch
+passes, once its exact scores so far plus b - 1 per tree left reach the
+incumbent.  That drops no answer: such a character scores at least the
+incumbent, and ``_scan`` keeps only a strict improvement, so the result,
+ties included, is that of scoring every character in full.
 """
 
 from __future__ import annotations
@@ -24,11 +33,32 @@ MODES = (
 )
 
 
-def _sum_parsimony(masks: Sequence[int], trees: Sequence[Tree]) -> int:
-    return sum(_parsimony(t, masks) for t in trees)
+def _sum_parsimony(
+    masks: Sequence[int], trees: Sequence[Tree], best: int | None, scanned: Tree
+) -> int | None:
+    """Sum of the Fitch scores of the partition on ``trees``, or None once
+    it cannot beat the incumbent ``best``.
+
+    A partition into b blocks scores at least b - 1 on any tree, exactly
+    b - 1 on a tree it is convex on, so on ``scanned`` (the tree whose
+    stream it came from) it scores b - 1 with no Fitch pass.  ``total``
+    holds the exact scores so far plus that floor for every tree left, a
+    lower bound on the sum, and the partition is rejected as soon as the
+    bound reaches ``best``.
+    """
+    floor = len(masks) - 1
+    total = floor * len(trees)
+    if best is not None and total >= best:
+        return None
+    for t in trees:
+        if t is not scanned:
+            total += _parsimony(t, masks) - floor
+            if best is not None and total >= best:
+                return None
+    return total
 
 
-OBJECTIVES: dict[str, Callable[[Sequence[int], Sequence[Tree]], int]] = {
+OBJECTIVES: dict[str, Callable[[Sequence[int], Sequence[Tree], int | None, Tree], int | None]] = {
     "sum_parsimony": _sum_parsimony,
 }
 
@@ -212,7 +242,7 @@ def optimize_objective(
     if not trees:
         raise ValueError("need at least one tree to score against")
     _require_same_taxa((tree, *trees))
-    return _scan(tree, k, lambda masks, best: fn(masks, trees))
+    return _scan(tree, k, lambda masks, best: fn(masks, trees, best, tree))
 
 
 def solve(instance: SolveInstance) -> SolveResult:

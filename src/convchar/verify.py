@@ -14,7 +14,7 @@ from typing import Callable
 
 from .bruteforce import _guard as _oracle_guard
 from .bruteforce import brute_count
-from .characters import enumerate_convex, is_convex, parsimony_score, stream_encoding
+from .characters import enumerate_convex, parsimony_score, stream_encoding
 from .counting import (
     caterpillar_count,
     count_closed_k1,
@@ -217,7 +217,6 @@ def run_verification(
                 ]
                 for f in chars:
                     assert f.min_block_size >= k
-                    assert is_convex(t, f)
                     assert parsimony_score(t, f) == f.block_count - 1
                     for side in small_sides:
                         assert any(side <= frozenset(b) for b in f.blocks)

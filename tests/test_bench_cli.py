@@ -289,8 +289,7 @@ class TestDeepTrees:
         for line in lines:
             ch = Character.parse(line)
             assert ch.taxa == t.taxa and ch.min_block_size >= 2
-            # Convex exactly when the Fitch score is block_count - 1; linear
-            # in n, unlike the edge-by-block check of is_convex.
+            # Convex exactly when the Fitch score is block_count - 1.
             assert parsimony_score(t, ch) == ch.block_count - 1
 
     def test_recursion_limit_unchanged(self):

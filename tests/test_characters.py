@@ -17,6 +17,7 @@ from convchar import (
     random_tree,
     stream_encoding,
 )
+from convchar.characters import _convex
 
 
 def brute_parsimony(tree, character):
@@ -126,7 +127,10 @@ class TestParsimony:
         ch = Character(blocks)
         score = parsimony_score(t, ch)
         assert score >= ch.block_count - 1
-        assert (score == ch.block_count - 1) == is_convex(t, ch)
+        # is_convex is this equality, so check it against the edge-by-block
+        # definition.
+        masks = [t._mask_of(b) for b in ch.blocks]
+        assert (score == ch.block_count - 1) == _convex(t, masks)
 
 
 class TestEnumeration:
