@@ -23,7 +23,6 @@ from .counting import (
     growth_rate,
     rate_table,
     rate_table_tsv,
-    split_recurrence_holds,
 )
 from .generators import (
     FullyLoadedSpec,
@@ -46,7 +45,12 @@ from .solvers import (
     solve,
 )
 from .trees import NewickError, Split, Tree, TreeError, Tripartition, parse_newick, write_newick
-from .verify import applicable_tripartitions, run_verification, tripartition_identity_holds
+from .verify import (
+    applicable_tripartitions,
+    run_verification,
+    split_recurrence_holds,
+    tripartition_identity_holds,
+)
 
 __version__ = "0.1.0"
 

@@ -51,13 +51,14 @@ def _mask_partitions(n: int, min_block: int) -> Iterator[tuple[int, ...]]:
 def _guard(n: int, min_block: int) -> None:
     if n > MAX_TAXA:
         raise ValueError(f"brute force is limited to {MAX_TAXA} taxa, got {n}")
-    if not 1 <= min_block <= n:
-        raise ValueError("min_block must lie in [1, n]")
+    if min_block < 1:
+        raise ValueError("min_block must be at least 1")
 
 
 def all_partitions(taxa: Sequence[str], min_block: int = 1) -> Iterator[Character]:
     """Every partition of ``taxa`` with all blocks >= min_block, exactly
-    once.  With min_block=1 the stream has Bell(n) entries."""
+    once.  With min_block=1 the stream has Bell(n) entries; with
+    min_block > n it is empty."""
     taxa = list(taxa)
     if len(set(taxa)) != len(taxa):
         raise ValueError("taxa must be distinct")
@@ -70,7 +71,7 @@ def all_partitions(taxa: Sequence[str], min_block: int = 1) -> Iterator[Characte
 
 def brute_count(tree: Tree, k: int) -> int:
     """|{partitions with blocks >= k that are convex on tree}|, by
-    exhaustive filtering."""
+    exhaustive filtering; 0 when k > n."""
     _guard(tree.n, k)
     edge_masks = tree._internal_edge_masks()
     count = 0

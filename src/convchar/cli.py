@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .bench import run_bench
+from .bench import FAMILIES, run_bench
 from .characters import _rendered
 from .counting import count_convex, rate_table_tsv
 from .generators import caterpillar, fully_loaded, random_tree
@@ -49,13 +49,19 @@ def _read_trees(path: str) -> list[tuple[int, Tree]]:
     return out
 
 
-def _int_at_least(low: int):
-    def integer(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+def _checked(convert, ok, rule: str):
+    """``convert``, then reject a value failing ``ok`` as a usage error."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text.strip()}")
         return value
-    return integer
+    parse.__name__ = convert.__name__
+    return parse
+
+
+def _int_at_least(low: int):
+    return _checked(int, lambda value: value >= low, f"at least {low}")
 
 
 def _csv_of(convert):
@@ -115,7 +121,7 @@ def _cmd_rate(args) -> int:
 
 def _cmd_bench(args) -> int:
     records = run_bench(
-        families=[f.strip() for f in args.families.split(",") if f.strip()],
+        families=args.families,
         ks=args.k_list,
         budgets=args.budgets,
         seed=args.seed,
@@ -182,9 +188,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rate)
 
     p = sub.add_parser("bench", help="largest n fully listable per wall-clock budget")
-    p.add_argument("--families", default="caterpillar,random")
-    p.add_argument("--k-list", type=_csv_of(int), default="1,2,3")
-    p.add_argument("--budgets", type=_csv_of(float), default="1")
+    family = _checked(str.strip, FAMILIES.__contains__, "one of " + ", ".join(FAMILIES))
+    p.add_argument("--families", type=_csv_of(family), default="caterpillar,random")
+    p.add_argument("--k-list", type=_csv_of(_int_at_least(1)), default="1,2,3")
+    p.add_argument("--budgets", type=_csv_of(_checked(float, lambda b: b > 0, "positive")),
+                   default="1")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-cap", type=int, default=64)
     p.set_defaults(func=_cmd_bench)

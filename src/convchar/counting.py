@@ -249,27 +249,3 @@ def caterpillar_closed_k3(n: int) -> int:
     alpha, c = _k3_closed_constants()
     return math.floor(c * alpha ** n + 0.5)
 
-
-def split_recurrence_holds(tree: Tree, k: int) -> bool:
-    """Check the deletion identity at a split with a side of exactly k taxa.
-
-    For a split A|B with |A| = k and any x in A, the count equals the count
-    after deleting A plus the count after deleting x.  Raises if the tree
-    has no size-k side.
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    block = None
-    for sp in tree.splits():
-        if len(sp.side_a) == k:
-            block = sp.side_a
-            break
-        if len(sp.side_b) == k:
-            block = sp.side_b
-            break
-    if block is None:
-        raise ValueError(f"tree has no split with a side of size {k}")
-    x = min(block)
-    lhs = count_convex(tree, k)
-    rhs = count_convex(tree.delete(block), k) + count_convex(tree.delete({x}), k)
-    return lhs == rhs

@@ -234,6 +234,11 @@ def optimize_objective(
 ) -> SolveResult:
     """Character of ``tree`` minimizing the named objective over ``trees``;
     ties go to the first character in stream order.  Scans the full stream.
+
+    With ``sum_parsimony`` and k <= n the answer is always the one-block
+    character with value 0: it is the only character that scores 0 on every
+    tree (one with b >= 2 blocks scores >= b - 1 on each), and it comes last
+    in stream order.
     """
     fn = OBJECTIVES.get(objective)
     if fn is None:

@@ -5,41 +5,40 @@ All expected values are exact; the per-criterion wall-clock budgets are
 asserted as well.
 """
 
-import dataclasses
 import time
 from contextlib import contextmanager
+from itertools import count
 
 from convchar import (
     Character,
     FakeClock,
-    FullyLoadedSpec,
     agreement_forest_min_components,
     all_partitions,
-    all_topologies,
-    applicable_tripartitions,
-    brute_count,
     caterpillar,
     caterpillar_closed_k3,
     caterpillar_count,
-    count_closed_k1,
-    count_closed_k2,
     count_convex,
-    default_labels,
     enumerate_convex,
     fully_loaded,
-    fully_loaded_count,
     is_convex,
-    linearize,
     optimize_objective,
     parse_newick,
     parsimony_score,
     quartet_exact_partition,
     random_tree,
-    replace_pendant_fully_loaded,
     run_bench,
-    tripartition_identity_holds,
 )
 from convchar.cli import main
+from convchar.verify import (
+    deletion_recurrence,
+    exhaustive_extremes,
+    extremal_sandwich,
+    fully_loaded_shapes,
+    linearize_monotone,
+    oracle_agreement,
+    pendant_replacement_monotone,
+    tripartition_identity,
+)
 
 EXAMPLE7 = "(((a,b),c),((f,g),e),d);"
 EXAMPLE7_ALT = "(((a,b),c),((e,f),g),d);"
@@ -90,66 +89,27 @@ def test_c01_worked_example_reproduction():
 
 
 def test_c02_topological_neutrality_exhaustive():
-    with criterion("criterion 2: neutrality over all topologies, n <= 8", 120.0):
-        for n, num_topologies in ((6, 105), (7, 945), (8, 10395)):
-            k1, k2 = count_closed_k1(n), count_closed_k2(n)
-            seen = 0
-            for t in all_topologies(default_labels(n)):
-                seen += 1
-                assert count_convex(t, 1) == k1
-                assert count_convex(t, 2) == k2
-            assert seen == num_topologies
+    with criterion("criterion 2: neutrality and extremes over all topologies, n <= 8", 120.0):
+        # 105, 945 and 10395 topologies, each one checked at k = 1..5.
+        assert exhaustive_extremes((6, 7, 8), ks=(3, 4, 5)) == "11445 topologies"
 
 
 def test_c03_oracle_equivalence():
     with criterion("criterion 3: dp equals brute force, 200 trees per n", 300.0):
-        for n in range(5, 10):
-            for i in range(200):
-                t = random_tree(n, seed=n * 100000 + i)
-                for k in range(1, 5):
-                    assert count_convex(t, k) == brute_count(t, k)
+        trees = (random_tree(n, seed=n * 100000 + i) for n in range(5, 10) for i in range(200))
+        assert oracle_agreement(trees, range(1, 5)) == "1000 trees, k <= 4"
 
 
 def test_c04_extremal_sandwich():
     with criterion("criterion 4: extremal sandwich, 1000 trees per size", 300.0):
-        for n in (10, 15, 20):
-            bounds = {
-                k: (fully_loaded_count(n, k), caterpillar_count(n, k))
-                for k in (3, 4, 5)
-            }
-            for k, (lo, hi) in bounds.items():
-                assert count_convex(fully_loaded(n, k), k) == lo
-                assert count_convex(caterpillar(n), k) == hi
-            for i in range(1000):
-                t = random_tree(n, seed=n * 1000000 + i)
-                for k, (lo, hi) in bounds.items():
-                    assert lo <= count_convex(t, k) <= hi
+        trees = (random_tree(n, seed=n * 1000000 + i) for n in (10, 15, 20) for i in range(1000))
+        assert extremal_sandwich(trees, (3, 4, 5)) == "9000 bounds"
 
 
 def test_c05a_deletion_recurrence():
     with criterion("criterion 5a: deletion identity on 100 applicable trees", 60.0):
-        done = 0
-        seed = 0
-        while done < 100:
-            seed += 1
-            k = 2 + seed % 3
-            t = random_tree(8 + seed % 6, seed=seed)
-            block = next(
-                (
-                    side
-                    for sp in t.splits()
-                    for side in (sp.side_a, sp.side_b)
-                    if len(side) == k
-                ),
-                None,
-            )
-            if block is None:
-                continue
-            x = min(block)
-            lhs = count_convex(t, k)
-            rhs = count_convex(t.delete(block), k) + count_convex(t.delete({x}), k)
-            assert lhs == rhs
-            done += 1
+        cases = ((random_tree(8 + s % 6, seed=s), 2 + s % 3) for s in count(1))
+        assert deletion_recurrence(cases, 100) == "100 trees"
 
 
 def test_c05b_caterpillar_recurrence_vs_dp():
@@ -168,17 +128,9 @@ def test_c05b_caterpillar_recurrence_vs_dp():
 
 def test_c05c_tripartition_identity():
     with criterion("criterion 5c: tripartition identity on 100 configs", 60.0):
-        done = 0
-        seed = 0
-        while done < 100:
-            seed += 1
-            k = 3 + seed % 2
-            t = random_tree(3 * k + seed % 5, seed=10000 + seed)
-            apps = applicable_tripartitions(t, k)
-            if not apps:
-                continue
-            assert tripartition_identity_holds(t, apps[0], k)
-            done += 1
+        ks = ((s, 3 + s % 2) for s in count(1))
+        cases = ((random_tree(3 * k + s % 5, seed=10000 + s), k) for s, k in ks)
+        assert tripartition_identity(cases, 100) == "100 trees"
 
 
 def test_c05d_k3_closed_form():
@@ -208,64 +160,15 @@ def test_c06_rate_table_cli():
 
 def test_c07_transformation_monotonicity():
     with criterion("criterion 7: linearize/replace monotone on 100 configs", 120.0):
-        done = 0
-        seed = 0
-        while done < 100:
-            seed += 1
-            k = 3 + seed % 3
-            t = random_tree(10 + seed % 5, seed=20000 + seed)
-            found = None
-            for tp in t.tripartitions():
-                cs = [p for p in tp.parts if 2 <= len(p) < k]
-                for c in cs:
-                    others = [p for p in tp.parts if p != c]
-                    if len(others[0]) >= 2 and len(others[1]) >= 2:
-                        found = dataclasses.replace(
-                            tp, part_a=others[0], part_b=others[1], part_c=c
-                        )
-                        break
-                if found:
-                    break
-            if found is None:
-                continue
-            out = linearize(t, found)
-            assert count_convex(out, k) >= count_convex(t, k)
-            done += 1
-
-        done = 0
-        seed = 0
-        while done < 100:
-            seed += 1
-            k = 3 + seed % 3
-            n = 11 + seed % 5
-            if n <= k:
-                continue
-            t = random_tree(n, seed=30000 + seed)
-            sp = t.bounded_split(k)
-            out = replace_pendant_fully_loaded(t, sp, k)
-            assert count_convex(out, k) <= count_convex(t, k)
-            done += 1
+        cases = ((random_tree(10 + s % 5, seed=20000 + s), 3 + s % 3) for s in count(1))
+        assert linearize_monotone(cases, 100) == "100 trees"
+        cases = ((random_tree(11 + s % 5, seed=30000 + s), 3 + s % 3) for s in range(1, 101))
+        assert pendant_replacement_monotone(cases) == "100 trees"
 
 
 def test_c08_fully_loaded_shape_independence():
     with criterion("criterion 8: five distinct fully loaded shapes agree", 60.0):
-        import random as _random
-
-        rng = _random.Random(77)
-        for n in range(10, 21):
-            for k in (3, 4, 5):
-                want = fully_loaded_count(n, k)
-                labels = default_labels(n)
-                shapes = {}
-                attempts = 0
-                while len(shapes) < 5 and attempts < 200:
-                    attempts += 1
-                    spec = FullyLoadedSpec.randomized(labels, k, rng)
-                    t = fully_loaded(n, k, spec=spec)
-                    shapes[t.canonical_newick()] = t
-                assert len(shapes) >= 5, (n, k)
-                for t in shapes.values():
-                    assert count_convex(t, k) == want
+        assert fully_loaded_shapes(range(10, 21), (3, 4, 5), seed=77) == "165 shapes"
 
 
 def test_c09_bench_trend_under_fixed_clock():

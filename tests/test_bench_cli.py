@@ -158,6 +158,7 @@ class TestCli:
 
     def test_verify_fast(self, capsys):
         assert main(["verify", "--nmax", "7", "--kmax", "3", "--samples", "12"]) == 0
+        assert main(["verify", "--nmax", "5", "--kmax", "6", "--samples", "2"]) == 0  # k > n
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
 
@@ -212,6 +213,9 @@ class TestCli:
             ["verify", "--samples", "0"],
             ["bench", "--k-list", "x"],
             ["bench", "--budgets", "1,y"],
+            ["bench", "--families", "nope"],
+            ["bench", "--k-list", "0"],
+            ["bench", "--budgets", "0"],
             ["rate", "--kmax", "0"],
             ["count", "-", "-k", "0"],
             ["list", "-", "-k", "-1"],

@@ -5,8 +5,10 @@ from convchar import (
     all_partitions,
     all_topologies,
     brute_count,
+    caterpillar,
     count_closed_k1,
     count_closed_k2,
+    count_convex,
     default_labels,
     random_tree,
 )
@@ -56,6 +58,10 @@ class TestBruteCount:
             t = random_tree(n, seed=seed)
             assert brute_count(t, 1) == count_closed_k1(n)
             assert brute_count(t, 2) == count_closed_k2(n)
+
+    def test_k_above_n_is_zero(self):
+        assert brute_count(caterpillar(4), 5) == 0 == count_convex(caterpillar(4), 5)
+        assert list(all_partitions(["a", "b"], 3)) == []
 
     def test_size_guard(self):
         with pytest.raises(ValueError):

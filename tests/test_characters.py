@@ -15,9 +15,9 @@ from convchar import (
     parse_newick,
     parsimony_score,
     random_tree,
-    stream_encoding,
 )
 from convchar.characters import _convex
+from convchar.verify import enumeration_consistency
 
 
 def brute_parsimony(tree, character):
@@ -161,19 +161,7 @@ class TestEnumeration:
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10 ** 6), n=st.integers(3, 9), k=st.integers(1, 4))
     def test_soundness_order_and_superset_law(self, seed, n, k):
-        t = random_tree(n, seed=seed)
-        chars = list(enumerate_convex(t, k))
-        encodings = [stream_encoding(t, c) for c in chars]
-        assert all(x < y for x, y in zip(encodings, encodings[1:]))
-        small_sides = [
-            frozenset(sp.side_b) for sp in t.splits() if len(sp.side_b) <= k
-        ]
-        for ch in chars:
-            assert ch.min_block_size >= k
-            assert is_convex(t, ch)
-            assert parsimony_score(t, ch) == ch.block_count - 1
-            for side in small_sides:
-                assert any(side <= frozenset(b) for b in ch.blocks)
+        enumeration_consistency([random_tree(n, seed=seed)], (k,))
 
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(0, 10 ** 6), n=st.integers(3, 8), k=st.integers(1, 4))

@@ -20,6 +20,13 @@ from convchar import (
     rate_table_tsv,
     split_recurrence_holds,
 )
+from convchar.verify import (
+    cherry_bound,
+    closed_forms,
+    growth_rates,
+    small_n_counts,
+    two_block_floor,
+)
 
 
 class TestCountConvex:
@@ -27,11 +34,15 @@ class TestCountConvex:
         assert [count_convex(example7, k) for k in (1, 2, 3, 4)] == [233, 8, 3, 1]
 
     def test_zero_below_k_and_one_below_2k(self):
-        for seed in range(5):
-            t = random_tree(5, seed=seed)
-            assert count_convex(t, 3) == 1
-            assert count_convex(t, 6) == 0
-            assert count_convex(t, 99) == 0
+        cases = ((random_tree(5, seed=seed), k) for seed in range(5) for k in (3, 6, 99))
+        assert small_n_counts(cases) == "15 cases"
+
+    def test_cherry_bound(self):
+        assert cherry_bound(random_tree(6 + i % 12, seed=i) for i in range(80)) == "80 trees"
+
+    def test_two_characters_from_3k_minus_2(self):
+        cases = ((random_tree(3 * k - 2 + i, seed=i), k) for k in range(2, 6) for i in range(8))
+        assert two_block_floor(cases) == "32 trees"
 
     def test_degenerate_sizes(self):
         one = parse_newick("x;")
@@ -55,9 +66,7 @@ class TestCountConvex:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10 ** 6), n=st.integers(3, 16))
     def test_topology_free_closed_forms(self, seed, n):
-        t = random_tree(n, seed=seed)
-        assert count_convex(t, 1) == count_closed_k1(n)
-        assert count_convex(t, 2) == count_closed_k2(n)
+        closed_forms([random_tree(n, seed=seed)])
 
 
 class TestClosedForms:
@@ -154,14 +163,7 @@ class TestGrowthRate:
         assert abs(growth_rate(2).max_rate - 1.618034) < 1e-6
 
     def test_residuals_and_monotonicity(self):
-        rates = [growth_rate(k) for k in range(1, 15)]
-        assert rates[0].residual == 0.0
-        for r in rates[1:]:
-            assert r.residual <= 1e-12
-        for prev, nxt in zip(rates, rates[1:]):
-            assert nxt.max_rate < prev.max_rate
-        for r in rates[2:]:
-            assert r.min_rate < r.max_rate
+        assert growth_rates(14) == "k <= 14"
 
 
 class TestSplitRecurrence:
@@ -169,12 +171,9 @@ class TestSplitRecurrence:
         assert split_recurrence_holds(caterpillar(10), 3)
 
     def test_worked_example_terms(self, example7):
-        # Deleting the pendant triple {a,b,c} versus deleting one taxon of it.
-        lhs = count_convex(example7, 3)
-        rhs = count_convex(example7.delete("abc"), 3) + count_convex(
-            example7.delete("a"), 3
-        )
-        assert lhs == rhs == 3
+        # Deleting the pendant triple {a,b,c} versus deleting one taxon of it:
+        # 3 = 1 + 2.
+        assert count_convex(example7, 3) == 3
         assert count_convex(example7.delete("abc"), 3) == 1
         assert count_convex(example7.delete("a"), 3) == 2
         assert split_recurrence_holds(example7, 3)

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from convchar import (
     random_tree,
     replace_pendant_fully_loaded,
 )
+from convchar.verify import linearize_monotone, pendant_replacement_monotone
 
 
 class TestCaterpillar:
@@ -187,25 +189,8 @@ class TestLinearize:
         assert len(out.cherries()) < len(t.cherries())
 
     def test_never_decreases_count_when_c_small(self):
-        checked = 0
-        seed = 0
-        while checked < 25:
-            t = random_tree(11, seed=seed)
-            seed += 1
-            for tp in t.tripartitions():
-                small = [p for p in tp.parts if len(p) == 2]
-                if not small:
-                    continue
-                others = [p for p in tp.parts if p != small[0]]
-                if min(len(p) for p in others) < 2:
-                    continue
-                tpx = dataclasses.replace(
-                    tp, part_a=others[0], part_b=others[1], part_c=small[0]
-                )
-                out = linearize(t, tpx)
-                assert count_convex(out, 3) >= count_convex(t, 3)
-                checked += 1
-                break
+        cases = ((random_tree(11, seed=seed), 3) for seed in itertools.count())
+        assert linearize_monotone(cases, 25) == "25 trees"
 
     def test_deep_parts(self):
         # The middle of the default fully 3-loaded tree on 6000 taxa: a
@@ -239,12 +224,8 @@ class TestLinearize:
 
 class TestReplacePendant:
     def test_never_increases_count(self):
-        for seed in range(30):
-            t = random_tree(12, seed=seed)
-            sp = t.bounded_split(3)
-            out = replace_pendant_fully_loaded(t, sp, 3)
-            assert out.taxa == t.taxa
-            assert count_convex(out, 3) <= count_convex(t, 3)
+        cases = ((random_tree(12, seed=seed), 3) for seed in range(30))
+        assert pendant_replacement_monotone(cases) == "30 trees"
 
     def test_fixed_point_when_already_loaded(self):
         t = fully_loaded(12, 4)

@@ -141,11 +141,22 @@ class TestQuartetPartition:
 
 
 class TestObjective:
-    def test_single_tree_optimum_is_zero(self):
-        t = random_tree(7, seed=4)
-        res = optimize_objective(t, [t], 2)
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(3, 10),
+        k=st.integers(1, 3),
+        seeds=st.lists(st.integers(0, 2**32), min_size=1, max_size=3, unique=True),
+    )
+    def test_single_tree_optimum_is_zero(self, n, k, seeds):
+        # sum_parsimony always picks the one-block character, the last in
+        # stream order, on any set of distinct trees over one taxon set.
+        drawn = (random_tree(n, seed=s) for s in seeds)
+        trees = list({t.canonical_newick(): t for t in drawn}.values())
+        res = optimize_objective(trees[0], trees, k)
+        *_, last = enumerate_convex(trees[0], k)
         assert res.objective_value == 0
-        assert res.character == Character([t.labels])
+        assert res.character == last == Character([trees[0].labels])
+        assert res.characters_scanned == count_convex(trees[0], k)
 
     def test_matches_exhaustive_minimum(self):
         t1 = caterpillar(6)
