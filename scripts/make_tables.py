@@ -10,18 +10,27 @@ Equivalent CLI calls: ``convchar rate`` and ``convchar bench``.
 """
 
 import argparse
+import sys
 
 from convchar import caterpillar_count, fully_loaded_count, rate_table_tsv, run_bench
-from convchar.cli import _csv_of, _int_at_least
+from convchar.cli import EXIT_DOMAIN, EXIT_OK, _csv_of, _int_at_least
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--kmax", type=_int_at_least(1), default=6)
     ap.add_argument("--budgets", type=_csv_of(float), default="0.5,2")
     ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
+    try:
+        _print_tables(args)
+    except OSError as exc:  # e.g. stdout closed early by `| head`
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    return EXIT_OK
 
+
+def _print_tables(args: argparse.Namespace) -> None:
     print("# growth rates")
     print("k\tmin_rate\tmax_rate")
     print(rate_table_tsv(args.kmax))
@@ -44,4 +53,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .characters import Character
+from .characters import Character, _convex
 from .trees import Tree
 
 MAX_TAXA = 14
@@ -71,23 +71,7 @@ def all_partitions(taxa: Sequence[str], min_block: int = 1) -> Iterator[Characte
 
 def brute_count(tree: Tree, k: int) -> int:
     """|{partitions with blocks >= k that are convex on tree}|, by
-    exhaustive filtering; 0 when k > n."""
+    exhaustive filtering with the edge-crossing test (no DP, no Fitch
+    pass); 0 when k > n."""
     _guard(tree.n, k)
-    edge_masks = tree._internal_edge_masks()
-    count = 0
-    for blocks in _mask_partitions(tree.n, k):
-        crossing_somewhere = False
-        for em in edge_masks:
-            crossing = 0
-            for bm in blocks:
-                x = em & bm
-                if x and x != bm:
-                    crossing += 1
-                    if crossing == 2:
-                        crossing_somewhere = True
-                        break
-            if crossing_somewhere:
-                break
-        if not crossing_somewhere:
-            count += 1
-    return count
+    return sum(1 for blocks in _mask_partitions(tree.n, k) if _convex(tree, blocks))

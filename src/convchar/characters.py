@@ -15,7 +15,7 @@ yields block bitmasks as deltas: a character after the first is rebuilt
 only from its last choice point up to the first pending step whose
 continuation is unchanged, and the previous character's blocks from there
 on are spliced back, so its Python work follows the changed region, not
-the depth of the tree.  ``_decode`` is the one way back to labels:
+the depth of the tree.  ``trees._decode`` is the one way back to labels:
 ``_rendered`` renders only the blocks a character adds, into one slot per
 smallest taxon id, for ``enumerate_convex`` and the CLI's ``list``, and a
 solver decodes its answer.  ``Character`` objects built from masks go
@@ -29,7 +29,7 @@ from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .counting import _dp_tables, _join, _joined_children
-from .trees import Tree
+from .trees import Tree, _decode
 
 R = TypeVar("R")
 
@@ -129,16 +129,6 @@ def _partition(tree: Tree, f) -> Character:
 
 def _block_masks(tree: Tree, f) -> list[int]:
     return [tree._mask_of(b) for b in _partition(tree, f).blocks]
-
-
-def _decode(labels: tuple[str, ...], bm: int) -> tuple[str, ...]:
-    """Labels of a block mask in taxon-id order, which is sorted label order."""
-    out = []
-    while bm:
-        low = bm & -bm
-        out.append(labels[low.bit_length() - 1])
-        bm ^= low
-    return tuple(out)
 
 
 def _convex(tree: Tree, masks: Sequence[int]) -> bool:
@@ -390,6 +380,8 @@ def stream_encoding(tree: Tree, f) -> tuple[int, ...]:
     """
     blocks = _partition(tree, f).blocks
     n = tree.n
+    if n == 1:
+        return ()  # no edges
     children = tree._rooting().children
     c0 = children[0][0]
     preorder, decision, stack = [], [c0], [c0]

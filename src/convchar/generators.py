@@ -257,6 +257,12 @@ def fully_loaded_decomposition(tree: Tree, k: int) -> FullyLoadedSpec | None:
     Searches for a partition of the taxa into pendant subtrees of at most
     k-1 taxa with at most one undersized part, by rooting at the smallest
     taxon and minimizing the number of undersized parts bottom-up.
+
+    The witness returned: the part holding the smallest taxon is every
+    taxon not below v, for the first vertex v in the rooting's postorder
+    (the other taxa by id, then the internal vertices by descending id)
+    at which that part and a partition of the taxa below v fit; below v,
+    a whole subtree stays one part wherever splitting it gains nothing.
     """
     if k < 2:
         raise ValueError("k must be at least 2")

@@ -23,8 +23,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .characters import Character, _block_stream, _convex, _decode, _parsimony
-from .trees import Tree, parse_newick
+from .characters import Character, _block_stream, _convex, _parsimony
+from .trees import Tree, _decode, parse_newick
 
 MODES = (
     "agreement_forest_min_components",

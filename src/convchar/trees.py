@@ -1,11 +1,15 @@
 """Unrooted binary trees over labelled leaves.
 
 Vertices are dense integers: leaves 0..n-1 in sorted label order (so the leaf
-id doubles as the taxon id), internal vertices n..2n-3.  Taxon subsets are
-manipulated as Python int bitmasks, bit i == taxon i.  Trees are immutable;
-every "modifying" operation returns a new tree, so instances can be shared
-freely across threads and used as cache keys through their canonical Newick
-form.
+id doubles as the taxon id), internal vertices n..2n-3 in breadth-first
+discovery order from taxon 0.  Every tree is rooted at taxon 0 as it is
+built: an internal vertex's parent is the vertex it was discovered from, so
+it has a smaller id, except the root's child c0, whose parent is leaf 0.
+Reading the internal vertices by descending id is therefore bottom-up.
+Taxon subsets are manipulated as Python int bitmasks, bit i == taxon i.
+Trees are immutable; every "modifying" operation returns a new tree, so
+instances can be shared freely across threads and used as cache keys
+through their canonical Newick form.
 """
 
 from __future__ import annotations
@@ -69,6 +73,16 @@ _TOKEN = re.compile(r"\s*([(),:]|[^(),:;\s]+)")
 _PUNCT = frozenset("(),:")
 
 
+def _decode(labels: tuple[str, ...], bm: int) -> tuple[str, ...]:
+    """Labels of a taxon mask in taxon-id order, which is sorted label order."""
+    out = []
+    while bm:
+        low = bm & -bm
+        out.append(labels[low.bit_length() - 1])
+        bm ^= low
+    return tuple(out)
+
+
 def _check_label(label: str) -> None:
     if not isinstance(label, str) or not label:
         raise TreeError("taxon labels must be non-empty strings")
@@ -85,7 +99,7 @@ def _assemble(adj: list[list[int] | None], leaf_labels: dict[int, str]) -> "Tree
     representation) are suppressed in place, so ``adj`` is consumed.
     Leaves are renumbered by sorted label, internal vertices in
     breadth-first discovery order from the smallest label, neighbours
-    visited in ascending order.
+    visited in ascending order.  The same pass roots the tree at taxon 0.
     """
     n = len(leaf_labels)
     if n == 0:
@@ -105,7 +119,7 @@ def _assemble(adj: list[list[int] | None], leaf_labels: dict[int, str]) -> "Tree
         (v,) = leaf_labels
         if vertices != 1 or adj[v]:
             raise TreeError("single-taxon tree must be a lone vertex")
-        return Tree((labels[0],), ((),))
+        return Tree((labels[0],), ((),), _RootData((-1,), ((),), (0,)))
 
     # A sound leaf reads 0, a sound internal vertex 3 (or 2: suppressed).
     degree = [-1 if nbs is None else len(nbs) for nbs in adj]
@@ -125,6 +139,8 @@ def _assemble(adj: list[list[int] | None], leaf_labels: dict[int, str]) -> "Tree
         vertices -= 1
 
     # Renumber: leaves by sorted label, internals in BFS discovery order.
+    # A vertex's parent in the rooting at taxon 0 is the vertex it was
+    # discovered from.
     new_id = [-1] * V
     rank = {lab: i for i, lab in enumerate(labels)}
     for v, lab in leaf_labels.items():
@@ -133,14 +149,17 @@ def _assemble(adj: list[list[int] | None], leaf_labels: dict[int, str]) -> "Tree
     seen = [False] * V
     seen[start] = True
     order = [start]
+    parent = [-1] * vertices
     nxt = n
     for v in order:
+        pv = new_id[v]
         for u in adj[v]:
             if not seen[u]:
                 seen[u] = True
                 if new_id[u] < 0:
                     new_id[u] = nxt
                     nxt += 1
+                parent[new_id[u]] = pv
                 order.append(u)
     if len(order) != vertices:
         raise TreeError("graph is not connected")
@@ -148,7 +167,21 @@ def _assemble(adj: list[list[int] | None], leaf_labels: dict[int, str]) -> "Tree
     new_adj: list = [None] * vertices
     for v in order:
         new_adj[new_id[v]] = tuple(sorted([new_id[u] for u in adj[v]]))
-    return Tree(tuple(labels), tuple(new_adj))
+    # Bottom-up by descending id: children ordered by smallest taxon below.
+    low = list(range(vertices))
+    children: list[tuple[int, ...]] = [()] * vertices
+    children[0] = new_adj[0]
+    for v in range(vertices - 1, n - 1, -1):
+        x, y, z = new_adj[v]
+        p = parent[v]
+        f, g = (y, z) if x == p else (x, z) if y == p else (x, y)
+        if low[g] < low[f]:
+            f, g = g, f
+        children[v] = (f, g)
+        low[v] = low[f]
+    postorder = (*range(1, n), *range(vertices - 1, n - 1, -1), 0)
+    root = _RootData(tuple(parent), tuple(children), postorder)
+    return Tree(tuple(labels), tuple(new_adj), root)
 
 
 def _degree_error(adj: list[list[int] | None], leaf_labels: dict[int, str]):
@@ -175,7 +208,7 @@ class Tree:
     """Immutable unrooted binary tree with distinctly labelled leaves.
 
     Construct through :func:`parse_newick` or the generators module; the raw
-    constructor trusts its arguments.
+    constructor trusts its arguments, the rooting at taxon 0 included.
     """
 
     __slots__ = (
@@ -183,12 +216,14 @@ class Tree:
         "_internal_masks", "_label_ids",
     )
 
-    def __init__(self, labels: tuple[str, ...], adj: tuple[tuple[int, ...], ...]):
+    def __init__(
+        self, labels: tuple[str, ...], adj: tuple[tuple[int, ...], ...], root: _RootData
+    ):
         self._labels = labels
         self._adj = adj
         self._n = len(labels)
         self._newick: str | None = None
-        self._root: _RootData | None = None
+        self._root = root
         self._below_masks: tuple[int, ...] | None = None
         self._internal_masks: tuple[int, ...] | None = None
         self._label_ids: dict[str, int] | None = None
@@ -255,48 +290,10 @@ class Tree:
         return m
 
     def _labels_of(self, mask: int) -> frozenset[str]:
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(self._labels[low.bit_length() - 1])
-            mask ^= low
-        return frozenset(out)
+        return frozenset(_decode(self._labels, mask))
 
     def _rooting(self) -> _RootData:
-        """Root at leaf 0 with children ordered by smallest taxon below."""
-        if self._root is not None:
-            return self._root
-        if self._n < 2:
-            raise TreeError("rooting needs at least two taxa")
-        V = len(self._adj)
-        parent = [-1] * V
-        order: list[int] = []
-        stack = [0]
-        seen = [False] * V
-        seen[0] = True
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            for u in self._adj[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    parent[u] = v
-                    stack.append(u)
-        post = tuple(reversed(order))
-        low = list(range(V))  # smallest taxon id at or below each vertex
-        for v in post:
-            p = parent[v]
-            if p >= 0 and low[v] < low[p]:
-                low[p] = low[v]
-        kids: list[list[int]] = [[] for _ in range(V)]
-        for v in range(V):
-            p = parent[v]
-            if p >= 0:
-                kids[p].append(v)
-        for v in range(V):
-            # Canonical child order: smallest taxon id below comes first.
-            kids[v].sort(key=low.__getitem__)
-        self._root = _RootData(tuple(parent), tuple(tuple(c) for c in kids), post)
+        """Rooted at leaf 0, children ordered by smallest taxon below."""
         return self._root
 
     def _below(self) -> tuple[int, ...]:

@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -59,6 +60,22 @@ class TestBench:
         )
         for rec in records:
             assert rec.max_n_completed >= 3
+
+    def test_make_tables_reports_closed_stdout(self):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "make_tables.py"
+        spec = importlib.util.spec_from_file_location("make_tables", script)
+        make_tables = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(make_tables)
+
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        err = io.StringIO()
+        with contextlib.redirect_stdout(ClosedPipe()), contextlib.redirect_stderr(err):
+            assert make_tables.main(["--budgets", "0.01", "--kmax", "2"]) == 1
+        assert err.getvalue().startswith("error: ")
+        assert "Traceback" not in err.getvalue()
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

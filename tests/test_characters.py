@@ -15,6 +15,7 @@ from convchar import (
     parse_newick,
     parsimony_score,
     random_tree,
+    stream_encoding,
 )
 from convchar.characters import _convex
 from convchar.verify import enumeration_consistency
@@ -150,6 +151,7 @@ class TestEnumeration:
         t = parse_newick("x;")
         assert [c.text() for c in enumerate_convex(t, 1)] == ["x"]
         assert list(enumerate_convex(t, 2)) == []
+        assert stream_encoding(t, Character([["x"]])) == ()
         assert list(enumerate_convex(caterpillar(4), 9)) == []
 
     @settings(max_examples=20, deadline=None)

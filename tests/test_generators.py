@@ -8,9 +8,11 @@ import pytest
 from convchar import (
     FullyLoadedSpec,
     Tripartition,
+    all_topologies,
     caterpillar,
     caterpillar_count,
     count_convex,
+    default_labels,
     fully_loaded,
     fully_loaded_count,
     fully_loaded_decomposition,
@@ -238,3 +240,36 @@ class TestReplacePendant:
         wide = next(sp for sp in t.splits() if len(sp.side_b) > 4)
         with pytest.raises(ValueError):
             replace_pendant_fully_loaded(t, wide, 3)
+
+
+def assert_valid_witness(tree, k, w):
+    """``w`` is a fully k-loaded decomposition of ``tree``: pendant parts of
+    k-1 taxa, one of n mod (k-1) at most, over the scaffold they induce."""
+    parts = [frozenset(taxa) for _, taxa in w.parts]
+    assert sorted(t for p in parts for t in p) == sorted(tree.labels)
+    r = tree.n % (k - 1)
+    assert w.residue_size == r
+    assert sorted(len(p) for p in parts if len(p) != k - 1) == ([r] if r else [])
+    pendant = {tree.taxa} | {side for s in tree.splits() for side in s.sides()}
+    assert all(p in pendant for p in parts)
+    reps = [rep for rep, _ in w.parts]
+    assert all(rep == min(taxa) for rep, taxa in w.parts)
+    assert w.scaffold == tree.restrict(reps)
+
+
+class TestWitnessValidity:
+    def test_every_witness_is_a_decomposition(self):
+        trees = [t for n in range(1, 8) for t in all_topologies(default_labels(n))]
+        rng = random.Random(11)
+        for k in range(2, 7):
+            for n in range(k, 4 * k + 6):
+                spec = FullyLoadedSpec.randomized(default_labels(n), k, rng)
+                trees.append(fully_loaded(n, k, spec=spec))
+        found = 0
+        for t in trees:
+            for k in range(2, 7):
+                w = fully_loaded_decomposition(t, k)
+                if w is not None:
+                    assert_valid_witness(t, k, w)
+                    found += 1
+        assert found > len(trees)

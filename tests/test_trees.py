@@ -1,12 +1,18 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convchar import (
+    FullyLoadedSpec,
     NewickError,
     Tree,
     TreeError,
+    all_topologies,
     caterpillar,
+    default_labels,
+    fully_loaded,
     parse_newick,
     random_tree,
     write_newick,
@@ -332,3 +338,67 @@ class TestBoundedSplit:
     def test_requires_n_above_k(self, example7):
         with pytest.raises(ValueError):
             example7.bounded_split(7)
+
+
+def old_rooting(tree: Tree):
+    """The rooting as a separate pass: a DFS from leaf 0, then every
+    vertex's children sorted by the smallest taxon id below them."""
+    V = tree.num_vertices()
+    parent = [-1] * V
+    order = []
+    stack = [0]
+    seen = [False] * V
+    seen[0] = True
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for u in tree.neighbors(v):
+            if not seen[u]:
+                seen[u] = True
+                parent[u] = v
+                stack.append(u)
+    low = list(range(V))
+    for v in reversed(order):
+        p = parent[v]
+        if p >= 0 and low[v] < low[p]:
+            low[p] = low[v]
+    kids = [[] for _ in range(V)]
+    for v in range(V):
+        if parent[v] >= 0:
+            kids[parent[v]].append(v)
+    for v in range(V):
+        kids[v].sort(key=low.__getitem__)
+    return tuple(parent), tuple(tuple(c) for c in kids)
+
+
+def rooting_corpus():
+    yield parse_newick("(a,b);")
+    yield parse_newick("((a,b),c);")
+    yield parse_newick("(c,(b,a));")
+    for n in range(3, 8):
+        yield from all_topologies(default_labels(n))
+    for n in range(3, 61):
+        t = random_tree(n, seed=n)
+        yield t
+        yield t.restrict(t.labels[n // 3:])
+    rng = random.Random(5)
+    for k in range(2, 7):
+        for n in range(k, 3 * k + 8):
+            yield fully_loaded(n, k)
+            yield fully_loaded(n, k, spec=FullyLoadedSpec.randomized(default_labels(n), k, rng))
+
+
+class TestRooting:
+    def test_single_taxon_is_trivially_rooted(self):
+        assert tuple(parse_newick("a;")._rooting()) == ((-1,), ((),), (0,))
+
+    def test_matches_separate_pass(self):
+        for t in rooting_corpus():
+            rd = t._rooting()
+            assert (rd.parent, rd.children) == old_rooting(t), t
+            place = {v: i for i, v in enumerate(rd.postorder)}
+            assert sorted(place) == list(range(t.num_vertices()))
+            assert all(place[v] < place[rd.parent[v]] for v in range(1, t.num_vertices()))
+            c0 = rd.children[0][0]
+            assert rd.parent[c0] == 0
+            assert all(t.n <= rd.parent[v] < v for v in range(t.n, t.num_vertices()) if v != c0)
