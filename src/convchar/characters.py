@@ -15,11 +15,14 @@ yields block bitmasks as deltas: a character after the first is rebuilt
 only from its last choice point up to the first pending step whose
 continuation is unchanged, and the previous character's blocks from there
 on are spliced back, so its Python work follows the changed region, not
-the depth of the tree.  ``trees._decode`` is the one way back to labels:
-``_rendered`` renders only the blocks a character adds, into one slot per
-smallest taxon id, for ``enumerate_convex`` and the CLI's ``list``, and a
-solver decodes its answer.  ``Character`` objects built from masks go
-through the trusted ``Character._canonical``.
+the depth of the tree.  A subtree that the allowed state of its edge
+leaves with exactly one completion (the DP's count is 1) is walked at most
+twice per stream, the second time to record its blocks, and from then on
+spliced in whole, like a leaf.  ``trees._decode`` is the one way back to
+labels: ``_rendered`` renders only the blocks a character adds, into one
+slot per smallest taxon id, for ``enumerate_convex`` and the CLI's
+``list``, and a solver decodes its answer.  ``Character`` objects built
+from masks go through the trusted ``Character._canonical``.
 """
 
 from __future__ import annotations
@@ -216,7 +219,15 @@ def _block_stream(tree: Tree, k: int) -> Iterator[tuple[list[int], list[int], li
     Explicit-stack backtracking over the DP's edge states (counting._join):
     an option fixes each child edge cut or open, f before g in encoding
     order, and g's allowed states follow from the state f reached.  Open
-    blocks keep their taxa on a linked stack, so merging costs nothing.
+    blocks keep their taxa, as masks, on a linked stack, so merging costs
+    nothing.
+
+    A step is forced when its allowed set is one state that the edge
+    reaches in exactly one way (the DP's count is 1): the subtree below it
+    has one completion and no choice point.  The first entry walks it; the
+    second records its closed blocks and open taxa (``collapse``), and
+    every entry from then on, in any character, appends those blocks and
+    pushes the open taxa as one entry, like a leaf.
 
     A character after the first restarts at the last choice point, keeps
     the blocks closed before it, and climbs back only as far as the first
@@ -232,9 +243,15 @@ def _block_stream(tree: Tree, k: int) -> Iterator[tuple[list[int], list[int], li
         yield [1], [], [1]
         return
     children = _joined_children(tree)
-    support = [0] * len(children)  # states with a nonzero count
+    # States with a nonzero count, and an internal vertex's states with a
+    # count of 1.  A leaf's edge is open, or cut as a singleton at k = 1.
+    support = [2 | (k == 1)] * n + [0] * (len(children) - n)
+    unit = [0] * len(children)
     for v, vec in _dp_tables(tree, k):
-        support[v] = sum(1 << s for s, x in enumerate(vec) if x)
+        if v >= n:
+            support[v] = sum(1 << s for s, x in enumerate(vec) if x)
+            if 1 in vec:
+                unit[v] = sum(1 << s for s, x in enumerate(vec) if x == 1)
     states = range(k + 1)
     join = [[sum(1 << s for s in _join(j1, j2, k)) for j2 in states] for j1 in states]
     halves = ((0,), range(1, k + 1))  # cut, open
@@ -256,6 +273,30 @@ def _block_stream(tree: Tree, k: int) -> Iterator[tuple[list[int], list[int], li
                 out.append((sum(1 << j for j in g_allowed), (g, g_allowed, S)))
         return out
 
+    @cache  # lives as long as this stream
+    def collapse(v: int, S: int) -> tuple[list[int], int, int]:
+        """The one completion below v when v's edge is in S and S is one
+        state with a count of 1: the blocks it closes, in stream order, the
+        state of v's edge, and the taxa of the block open on it (0 when it
+        is cut).  The stream's own walk, every option being the only one,
+        in postorder on an explicit stack."""
+        closed: list[int] = []
+        masks: list[int] = []  # open taxa of the finished children
+        todo = [(v, S, False)]
+        while todo:
+            u, S_u, done = todo.pop()
+            if u >= n and not done:
+                ((f_allowed, (g, g_allowed, _)),) = options(u, S_u)
+                S_g = g_allowed[f_allowed.bit_length() - 1]
+                todo += (u, S_u, True), (g, S_g, False), (children[u][0], f_allowed, False)
+                continue
+            m = 1 << u if u < n else masks.pop() | masks.pop()
+            if S_u == 1 and m:  # the edge above u is cut: a block closes
+                closed.append(m)
+                m = 0
+            masks.append(m)
+        return closed, S.bit_length() - 1, masks[0]
+
     # Start at the top vertex, whose edge must end cut.  Pending steps in
     # ``cont``: (start, (g, g_allowed, S_u)) waits for f and (start, j1,
     # S_u, g) for g, where ``start`` is the open-taxa chain when their
@@ -270,15 +311,26 @@ def _block_stream(tree: Tree, k: int) -> Iterator[tuple[list[int], list[int], li
     # the record.  Every later character up to the next visit restarts
     # below the step and ends with the same blocks after it, so the next
     # visit to find a filled cell ends its character with the previous
-    # character's last ``ends[g][0] - seen[g]`` blocks.
+    # character's last ``ends[g][0] - seen[g]`` blocks.  A forced subtree
+    # pushes no choice point, so splicing it in keeps these records valid.
     v, S, i, cont, opened = len(children) - 1, 1, 0, None, None
     blocks: list[int] = []
     choices: list = []
     seen = [0] * len(children)
+    entered = [0] * len(children)  # forced allowed sets walked, per vertex
     ends: list[list[int | None] | None] = [None] * len(children)
     kept, tail, spliced, end = 0, [], 0, [None]
     while True:
         while v >= n:  # descend along option i, then first options
+            # Forced: S, which never holds a state outside support[v], is
+            # one state with a count of 1, so no choice is left below v.
+            if S & unit[v] and not S & (S - 1):
+                if entered[v] & S:  # walked before: splice it in like a leaf
+                    closed, state, m = collapse(v, S)
+                    blocks += closed
+                    start, opened = opened, (m, opened) if state else opened
+                    break
+                entered[v] |= S
             opts = options(v, S)
             if i + 1 < len(opts):
                 choices.append((v, S, i + 1, cont, opened, len(blocks)))
@@ -286,14 +338,14 @@ def _block_stream(tree: Tree, k: int) -> Iterator[tuple[list[int], list[int], li
             S, after_f = opts[i]
             cont = ((opened, after_f), cont)
             v, i = children[v][0], 0
-        # A leaf's allowed set is one state: 0 (a singleton, S = 1) or 1.
-        state, start, opened = S >> 1, opened, (v, opened)
+        else:  # a leaf's allowed set is one state: 0 (a singleton, S = 1) or 1
+            state, start, opened = S >> 1, opened, (1 << v, opened)
         while True:  # finish vertices whose children are both done
             if not state and opened is not start:  # a block closes here
                 m = 0
                 while opened is not start:
                     x, opened = opened
-                    m |= 1 << x
+                    m |= x
                 blocks.append(m)
             if cont is None or len(cont[0]) == 2:
                 break

@@ -334,6 +334,29 @@ class TestDeepTrees:
         proc = self.run_python(["-c", code])
         assert proc.returncode == 0, proc.stderr[-500:]
 
+    def test_forced_subtrees_need_no_recursion(self):
+        # At k=120 nearly all of a caterpillar with 200 or 300 taxa has one
+        # completion, and the later characters of the 300-taxon stream
+        # splice in forced subtrees over a hundred levels deep.
+        code = (
+            "import sys\n"
+            "from itertools import islice\n"
+            "from convchar import caterpillar, count_convex\n"
+            "from convchar.characters import _block_stream\n"
+            "sys.setrecursionlimit(100)\n"
+            "for n, count, streamed in ((200, 1, 1), (300, 62, 50)):\n"
+            "    t = caterpillar(n)\n"
+            "    assert count_convex(t, 120) == count\n"
+            "    got = 0\n"
+            "    for live, _, _ in islice(_block_stream(t, 120), streamed):\n"
+            "        assert sum(live) == (1 << n) - 1\n"
+            "        assert min(m.bit_count() for m in live) >= 120\n"
+            "        got += 1\n"
+            "    assert got == streamed\n"
+        )
+        proc = self.run_python(["-c", code])
+        assert proc.returncode == 0, proc.stderr[-500:]
+
     def test_gen_deep_trees_parse_back(self, capsys):
         assert main(["gen", "caterpillar", "5000"]) == 0
         t = parse_newick(capsys.readouterr().out)

@@ -4,9 +4,9 @@
 started splicing back the unchanged part of the previous character: every
 character rebuilt by climbing all pending steps up to the top vertex.  It
 is kept verbatim, as the judge of the order and content of
-``characters._block_stream``.  The work gate counts the line events of the
-stream's own code with ``sys.settrace``, so the library carries no counter
-and no hook.
+``characters._block_stream``.  The work gates count the line events of
+the code in ``characters.py`` with ``sys.settrace``, helpers nested in the
+stream included, so the library carries no counter and no hook.
 """
 
 import sys
@@ -18,7 +18,7 @@ from typing import Iterator
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convchar import caterpillar, fully_loaded, parse_newick, random_tree
+from convchar import caterpillar, characters, fully_loaded, parse_newick, random_tree
 from convchar.characters import _block_stream
 from convchar.counting import _dp_tables, _join, _joined_children
 from convchar.trees import Tree
@@ -147,10 +147,34 @@ def test_tiny_and_empty_streams_match_oracle():
             assert_same_stream(parse_newick(text), k)
 
 
+# Where subtrees with exactly one completion are common and re-entered, so
+# the stream splices them in whole instead of walking them.
+
+@settings(max_examples=6, deadline=None)
+@given(n=st.integers(25, 45), k=st.integers(4, 6), seed=st.integers(0, 2**32))
+def test_forced_subtrees_of_random_trees_match_oracle(n, k, seed):
+    assert_same_stream(random_tree(n, seed=seed), k)
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(8, 30), k=st.integers(2, 6))
+def test_fully_loaded_trees_at_their_load_match_oracle(n, k):
+    """Every pendant part of fully_loaded(n, k) is forced at k."""
+    assert_same_stream(fully_loaded(n, k), k)
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(4, 60), data=st.data())
+def test_caterpillars_with_large_blocks_match_oracle(n, data):
+    """At k >= n/2 most of a caterpillar is one forced subtree."""
+    k = data.draw(st.integers((n + 1) // 2, n), label="k")
+    assert_same_stream(caterpillar(n), k)
+
+
 def line_events_per_character(tree, k, first=2, last=201):
-    """Line events of ``_block_stream``'s code per character, from
+    """Line events of the code in ``characters.py`` per character, from
     character ``first`` to ``last``."""
-    code = _block_stream.__code__
+    path = characters.__file__
     events = 0
 
     def local(frame, event, arg):
@@ -160,7 +184,7 @@ def line_events_per_character(tree, k, first=2, last=201):
         return local
 
     def calls(frame, event, arg):
-        return local if frame.f_code is code else None
+        return local if frame.f_code.co_filename == path else None
 
     stream = _block_stream(tree, k)
     for _ in range(first - 1):
@@ -184,3 +208,15 @@ def test_work_per_character_is_flat_in_depth():
     bushy = line_events_per_character(random_tree(2000), 3)
     assert deep <= 1.5 * shallow, (deep, shallow)
     assert deep <= 3 * bushy, (deep, bushy)
+
+
+def test_forced_subtrees_are_not_walked_again():
+    """A subtree with one completion for the allowed states of its edge is
+    spliced in whole once it has been walked: far less work per character
+    where such subtrees are common, and at k=1, where no internal vertex
+    is forced, no more than one test per vertex entered.  The bounds are
+    fractions of the line events of the stream that walked every subtree
+    (293.6, 612.8 and 161.0)."""
+    assert line_events_per_character(caterpillar(35), 4) <= 0.7 * 293.6
+    assert line_events_per_character(random_tree(40, seed=0), 5) <= 0.55 * 612.8
+    assert line_events_per_character(random_tree(12, seed=0), 1) <= 1.03 * 161.0
