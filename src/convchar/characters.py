@@ -11,11 +11,14 @@ k exactly once by backtracking over the counting DP's per-edge vectors, so
 no dead branch is ever entered and the stream is output-sensitive.  The
 stream order is lexicographic in the character's canonical edge-usage
 encoding (see :func:`stream_encoding`).  The backtracker ``_block_stream``
-yields block bitmasks as deltas: a character after the first is rebuilt
-only from its last choice point up to the first pending step whose
-continuation is unchanged, and the previous character's blocks from there
-on are spliced back, so its Python work follows the changed region, not
-the depth of the tree.  A subtree that the allowed state of its edge
+builds an option (which child edges are cut or open) only when it takes it,
+from the DP's support masks and the mask form of its edge rule
+(``counting._partners``), so the first character costs a small multiple of
+the count.  It yields block bitmasks as deltas: a character after the first
+is rebuilt only from its last choice point up to the first pending step
+whose continuation is unchanged, and the previous character's blocks from
+there on are spliced back, so its Python work follows the changed region,
+not the depth of the tree.  A subtree that the allowed state of its edge
 leaves with exactly one completion (the DP's count is 1) is walked at most
 twice per stream, the second time to record its blocks, and from then on
 spliced in whole, like a leaf.  ``trees._decode`` is the one way back to
@@ -28,10 +31,10 @@ from masks go through the trusted ``Character._canonical``.
 from __future__ import annotations
 
 from functools import cache
-from itertools import product
+from itertools import compress
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .counting import _dp_tables, _join, _joined_children
+from .counting import _dp_tables, _join, _joined_children, _partners
 from .trees import Tree, _decode
 
 R = TypeVar("R")
@@ -218,9 +221,13 @@ def _block_stream(tree: Tree, k: int) -> Iterator[tuple[list[int], list[int], li
 
     Explicit-stack backtracking over the DP's edge states (counting._join):
     an option fixes each child edge cut or open, f before g in encoding
-    order, and g's allowed states follow from the state f reached.  Open
-    blocks keep their taxa, as masks, on a linked stack, so merging costs
-    nothing.
+    order, and g's allowed states follow from the state f reached.  Options
+    are built lazily, each when the walk first takes it; whether a later
+    one exists is one more mask test.  Their allowed states come from a few
+    mask operations (counting._partners) on the states the vertex's and
+    its child edges can have, so vertices with the same three masks share
+    them.  All of it is kept for the life of the stream.  Open blocks keep
+    their taxa, as masks, on a linked stack, so merging costs nothing.
 
     A step is forced when its allowed set is one state that the edge
     reaches in exactly one way (the DP's count is 1): the subtree below it
@@ -247,31 +254,48 @@ def _block_stream(tree: Tree, k: int) -> Iterator[tuple[list[int], list[int], li
     # count of 1.  A leaf's edge is open, or cut as a singleton at k = 1.
     support = [2 | (k == 1)] * n + [0] * (len(children) - n)
     unit = [0] * len(children)
+    states = range(k + 1)
+    powers = [1 << s for s in states]
     for v, vec in _dp_tables(tree, k):
         if v >= n:
-            support[v] = sum(1 << s for s, x in enumerate(vec) if x)
+            support[v] = sum(compress(powers, vec))
             if 1 in vec:
-                unit[v] = sum(1 << s for s, x in enumerate(vec) if x == 1)
-    states = range(k + 1)
-    join = [[sum(1 << s for s in _join(j1, j2, k)) for j2 in states] for j1 in states]
-    halves = ((0,), range(1, k + 1))  # cut, open
+                unit[v] = sum(compress(powers, map((1).__eq__, vec)))
+    # _join's rows by f's state j1, as masks of v's edge states.  The step
+    # that finishes v reads row j1 only after an open g followed f in state
+    # j1, so ``cases`` builds the row with g's allowed states for j1.
+    rows: list[list[int]] = [[]] * (k + 1)
+    g_cut = dict.fromkeys(states, 1)  # a cut g's allowed states, whatever f reached
 
     @cache  # lives as long as this stream
-    def options(v: int, S: int) -> list[tuple[int, tuple[int, dict[int, int], int]]]:
-        """Options for v's child edges f and g when v's edge is in S: f's
-        allowed states, and (g, g's allowed states per state of f, S)."""
+    def cases(F: int, G: int, S: int) -> tuple[tuple[int, ...], dict[int, int], int]:
+        """For f's and g's edges with the states F and G and their vertex's
+        edge in S: f's allowed states in each case of an option (see
+        ``option``), an open g's allowed states per state of f, and the
+        mask of the cases that have some."""
+        by_cut, by_open = F & _partners(G & 1, S, k), F & _partners(G & -2, S, k)
+        fs = by_cut & 1, by_open & 1, by_cut & -2, by_open & -2
+        g_open = {}
+        while by_open:
+            j1 = (by_open & -by_open).bit_length() - 1
+            g_open[j1] = _partners(1 << j1, S, k) & G & -2
+            if not rows[j1]:
+                rows[j1] = [sum(1 << s for s in _join(j1, j2, k)) for j2 in states]
+            by_open &= by_open - 1
+        return fs, g_open, sum(compress((1, 2, 4, 8), fs))
+
+    @cache  # lives as long as this stream
+    def option(v: int, S: int, c: int) -> tuple[int, tuple[int, dict[int, int], int], int]:
+        """v's first option from case c on when v's edge is in S, and the
+        case of the next one (-1 when there is none).  Cases 0..3 fix f's
+        and g's edges cut or open, f first, in encoding order; an option is
+        f's allowed states and (g, g's allowed states per state of f, S)."""
         f, g = children[v]
-        out = []
-        for f_half, g_half in product(halves, repeat=2):
-            g_allowed = {}
-            for j1 in f_half:
-                if support[f] >> j1 & 1:
-                    m = sum(1 << j2 for j2 in g_half if support[g] >> j2 & 1 and join[j1][j2] & S)
-                    if m:
-                        g_allowed[j1] = m
-            if g_allowed:
-                out.append((sum(1 << j for j in g_allowed), (g, g_allowed, S)))
-        return out
+        fs, g_open, present = cases(support[f], support[g], S)
+        present = present >> c << c
+        c = (present & -present).bit_length() - 1
+        later = present & present - 1
+        return fs[c], (g, g_open if c & 1 else g_cut, S), (later & -later).bit_length() - 1
 
     @cache  # lives as long as this stream
     def collapse(v: int, S: int) -> tuple[list[int], int, int]:
@@ -286,7 +310,7 @@ def _block_stream(tree: Tree, k: int) -> Iterator[tuple[list[int], list[int], li
         while todo:
             u, S_u, done = todo.pop()
             if u >= n and not done:
-                ((f_allowed, (g, g_allowed, _)),) = options(u, S_u)
+                f_allowed, (g, g_allowed, _), _ = option(u, S_u, 0)
                 S_g = g_allowed[f_allowed.bit_length() - 1]
                 todo += (u, S_u, True), (g, S_g, False), (children[u][0], f_allowed, False)
                 continue
@@ -331,13 +355,12 @@ def _block_stream(tree: Tree, k: int) -> Iterator[tuple[list[int], list[int], li
                     start, opened = opened, (m, opened) if state else opened
                     break
                 entered[v] |= S
-            opts = options(v, S)
-            if i + 1 < len(opts):
-                choices.append((v, S, i + 1, cont, opened, len(blocks)))
+            S_f, after_f, later = option(v, S, i)
+            if later >= 0:
+                choices.append((v, S, later, cont, opened, len(blocks)))
                 end = [None]
-            S, after_f = opts[i]
             cont = ((opened, after_f), cont)
-            v, i = children[v][0], 0
+            v, S, i = children[v][0], S_f, 0
         else:  # a leaf's allowed set is one state: 0 (a singleton, S = 1) or 1
             state, start, opened = S >> 1, opened, (1 << v, opened)
         while True:  # finish vertices whose children are both done
@@ -351,7 +374,7 @@ def _block_stream(tree: Tree, k: int) -> Iterator[tuple[list[int], list[int], li
                 break
             (start, j1, S_u, g), cont = cont
             if state:
-                state = (join[j1][state] & S_u).bit_length() - 1
+                state = (rows[j1][state] & S_u).bit_length() - 1
                 continue
             last = ends[g]
             if last is None or last[0] is None:

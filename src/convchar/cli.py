@@ -194,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budgets", type=_csv_of(_checked(float, lambda b: b > 0, "positive")),
                    default="1")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-cap", type=int, default=64)
+    p.add_argument("--n-cap", type=_int_at_least(3), default=64)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("verify", help="run the property suite; nonzero exit on failure")

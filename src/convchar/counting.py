@@ -9,7 +9,8 @@ edge above each vertex a state: 0 when it is cut (all taxa below already sit
 in finished blocks of size >= k), or j = 1..k when one unfinished block
 crosses it with j taxa below, j saturating at k, which is sound because only
 "at least k" ever matters.  One rule, :func:`_join`, combines the states of
-two child edges; the enumeration backtracker reads the same rule.
+two child edges; the enumeration backtracker reads the same rule in mask
+form, :func:`_partners`.
 Total work is O(n * k^2) big-int operations.
 """
 
@@ -69,6 +70,29 @@ def _join(j1: int, j2: int, k: int) -> tuple[int, ...]:
         return (j1 + j2,)
     s = min(j1 + j2, k)
     return (s, 0) if s == k else (s,)
+
+
+def _partners(J: int, S: int, k: int) -> int:
+    """Mask form of :func:`_join` (bit s for state s): the states j2 of one
+    child edge for which ``_join(j1, j2, k)`` meets the allowed set ``S``
+    for some state j1 of the other in the mask ``J``.  A cut child passes
+    the other's state up, and two open blocks sum, up to k, where the block
+    may stay open or close.  O(1) int operations, plus one shift per state
+    of ``J`` in 1..k-2."""
+    m = S if J & 1 else 0  # j1 = 0 passes j2 up
+    J &= -2
+    if J:
+        if J & S:  # j2 = 0 passes j1 up
+            m |= 1
+        if S & (1 | 1 << k):  # two open blocks that reach k may end in S
+            m |= (1 << k + 1) - (1 << max(k - J.bit_length() + 1, 1))
+        # below k, j1 + j2 must be a state of S: j2 is a bit of low >> j1
+        low, J = S & (1 << k) - 1, J & (1 << k - 1) - 1
+        while J:
+            j1 = J & -J
+            m |= low >> j1.bit_length() - 1
+            J ^= j1
+    return m
 
 
 def _joined_children(tree: Tree) -> tuple[tuple[int, ...], ...]:

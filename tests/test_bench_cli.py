@@ -233,6 +233,8 @@ class TestCli:
             ["bench", "--families", "nope"],
             ["bench", "--k-list", "0"],
             ["bench", "--budgets", "0"],
+            ["bench", "--n-cap", "0"],
+            ["bench", "--n-cap", "-1"],
             ["rate", "--kmax", "0"],
             ["count", "-", "-k", "0"],
             ["list", "-", "-k", "-1"],

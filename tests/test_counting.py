@@ -20,6 +20,7 @@ from convchar import (
     rate_table_tsv,
     split_recurrence_holds,
 )
+from convchar.counting import _join, _partners
 from convchar.verify import (
     cherry_bound,
     closed_forms,
@@ -67,6 +68,34 @@ class TestCountConvex:
     @given(seed=st.integers(0, 10 ** 6), n=st.integers(3, 16))
     def test_topology_free_closed_forms(self, seed, n):
         closed_forms([random_tree(n, seed=seed)])
+
+
+class TestEdgeRule:
+    """``_partners`` is the mask form of ``_join``: the DP reads one, the
+    listing stream the other, so they must state the same rule."""
+
+    @staticmethod
+    def partners_by_join(J, S, k):
+        return sum(
+            1 << j2 for j2 in range(k + 1)
+            if any(S >> s & 1 for j1 in range(k + 1) if J >> j1 & 1 for s in _join(j1, j2, k))
+        )
+
+    def test_each_state_against_join(self):
+        for k in range(1, 9):
+            cut, opened = 1, (1 << k + 1) - 2
+            for j1 in range(k + 1):
+                for S in range(1 << k + 1):
+                    want = self.partners_by_join(1 << j1, S, k)
+                    got = _partners(1 << j1, S, k)
+                    for half in (cut, opened):
+                        assert got & half == want & half, (k, j1, S, half)
+
+    def test_state_masks_against_join(self):
+        for k in range(1, 6):
+            for J in range(1 << k + 1):
+                for S in range(1 << k + 1):
+                    assert _partners(J, S, k) == self.partners_by_join(J, S, k), (k, J, S)
 
 
 class TestClosedForms:

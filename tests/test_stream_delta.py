@@ -18,7 +18,15 @@ from typing import Iterator
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convchar import caterpillar, characters, fully_loaded, parse_newick, random_tree
+from convchar import (
+    caterpillar,
+    characters,
+    count_convex,
+    counting,
+    fully_loaded,
+    parse_newick,
+    random_tree,
+)
 from convchar.characters import _block_stream
 from convchar.counting import _dp_tables, _join, _joined_children
 from convchar.trees import Tree
@@ -147,6 +155,15 @@ def test_tiny_and_empty_streams_match_oracle():
             assert_same_stream(parse_newick(text), k)
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(6, 14), seed=st.integers(0, 2**32), data=st.data())
+def test_random_trees_with_large_blocks_match_oracle(n, seed, data):
+    """At k >= n/2 the allowed sets hold both 0 and k, and f's states reach
+    k: where the stream's mask rule has the most cases."""
+    k = data.draw(st.integers((n + 1) // 2, n), label="k")
+    assert_same_stream(random_tree(n, seed=seed), k)
+
+
 # Where subtrees with exactly one completion are common and re-entered, so
 # the stream splices them in whole instead of walking them.
 
@@ -171,10 +188,9 @@ def test_caterpillars_with_large_blocks_match_oracle(n, data):
     assert_same_stream(caterpillar(n), k)
 
 
-def line_events_per_character(tree, k, first=2, last=201):
-    """Line events of the code in ``characters.py`` per character, from
-    character ``first`` to ``last``."""
-    path = characters.__file__
+def line_events(run, modules=(characters,)):
+    """Line events of the code in ``modules`` while ``run()`` runs."""
+    paths = {module.__file__ for module in modules}
     events = 0
 
     def local(frame, event, arg):
@@ -184,18 +200,24 @@ def line_events_per_character(tree, k, first=2, last=201):
         return local
 
     def calls(frame, event, arg):
-        return local if frame.f_code.co_filename == path else None
+        return local if frame.f_code.co_filename in paths else None
 
-    stream = _block_stream(tree, k)
-    for _ in range(first - 1):
-        next(stream)
     before = sys.gettrace()
     sys.settrace(calls)
     try:
-        for _ in range(last - first + 1):
-            next(stream)
+        run()
     finally:
         sys.settrace(before)
+    return events
+
+
+def line_events_per_character(tree, k, first=2, last=201):
+    """Line events of the code in ``characters.py`` per character, from
+    character ``first`` to ``last``."""
+    stream = _block_stream(tree, k)
+    for _ in range(first - 1):
+        next(stream)
+    events = line_events(lambda: [next(stream) for _ in range(last - first + 1)])
     return events / (last - first + 1)
 
 
@@ -220,3 +242,16 @@ def test_forced_subtrees_are_not_walked_again():
     assert line_events_per_character(caterpillar(35), 4) <= 0.7 * 293.6
     assert line_events_per_character(random_tree(40, seed=0), 5) <= 0.55 * 612.8
     assert line_events_per_character(random_tree(12, seed=0), 1) <= 1.03 * 161.0
+
+
+def test_first_character_builds_only_the_options_it_takes():
+    """The stream runs the DP, then builds only the options its first
+    character takes, so that character costs a small multiple of the count:
+    line events of ``characters.py`` and ``counting.py`` against those of
+    ``count_convex``, bounded at 5% above 1.60 and 1.53 (building every
+    option of each vertex entered read 2.36 and 2.35)."""
+    modules = (characters, counting)
+    for tree, bound in ((caterpillar(2000), 1.05 * 1.60), (random_tree(2000), 1.05 * 1.53)):
+        first = line_events(lambda: next(_block_stream(tree, 3)), modules)
+        count = line_events(lambda: count_convex(tree, 3), modules)
+        assert first <= bound * count, (tree.n, first / count)
