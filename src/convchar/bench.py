@@ -92,6 +92,8 @@ def run_bench(
         for k in ks:
             if k < 1 or (family == "fully_loaded" and k < 2):
                 raise ValueError(f"family {family!r} cannot run at k={k}")
+            if max(3, k) > n_cap:
+                raise ValueError(f"k={k} needs {max(3, k)} taxa, above the n_cap of {n_cap}")
             for budget in budgets:
                 if budget <= 0:
                     raise ValueError("budgets must be positive")

@@ -34,7 +34,7 @@ from functools import cache
 from itertools import compress
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .counting import _dp_tables, _join, _joined_children, _partners
+from .counting import _dp_tables, _joined_children, _partners
 from .trees import Tree, _decode
 
 R = TypeVar("R")
@@ -219,9 +219,10 @@ def _block_stream(tree: Tree, k: int) -> Iterator[tuple[list[int], list[int], li
     character's block masks, and the masks dropped from and added to the
     previous character's.  ``live`` is one list, updated in place.
 
-    Explicit-stack backtracking over the DP's edge states (counting._join):
-    an option fixes each child edge cut or open, f before g in encoding
-    order, and g's allowed states follow from the state f reached.  Options
+    Explicit-stack backtracking over the DP's edge states, by the edge rule
+    of ``counting``: an option fixes each child edge cut or open, f before
+    g in encoding order, g's allowed states follow from the state f
+    reached, and v's state from the saturating sum of the two.  Options
     are built lazily, each when the walk first takes it; whether a later
     one exists is one more mask test.  Their allowed states come from a few
     mask operations (counting._partners) on the states the vertex's and
@@ -261,10 +262,6 @@ def _block_stream(tree: Tree, k: int) -> Iterator[tuple[list[int], list[int], li
             support[v] = sum(compress(powers, vec))
             if 1 in vec:
                 unit[v] = sum(compress(powers, map((1).__eq__, vec)))
-    # _join's rows by f's state j1, as masks of v's edge states.  The step
-    # that finishes v reads row j1 only after an open g followed f in state
-    # j1, so ``cases`` builds the row with g's allowed states for j1.
-    rows: list[list[int]] = [[]] * (k + 1)
     g_cut = dict.fromkeys(states, 1)  # a cut g's allowed states, whatever f reached
 
     @cache  # lives as long as this stream
@@ -279,8 +276,6 @@ def _block_stream(tree: Tree, k: int) -> Iterator[tuple[list[int], list[int], li
         while by_open:
             j1 = (by_open & -by_open).bit_length() - 1
             g_open[j1] = _partners(1 << j1, S, k) & G & -2
-            if not rows[j1]:
-                rows[j1] = [sum(1 << s for s in _join(j1, j2, k)) for j2 in states]
             by_open &= by_open - 1
         return fs, g_open, sum(compress((1, 2, 4, 8), fs))
 
@@ -373,8 +368,8 @@ def _block_stream(tree: Tree, k: int) -> Iterator[tuple[list[int], list[int], li
             if cont is None or len(cont[0]) == 2:
                 break
             (start, j1, S_u, g), cont = cont
-            if state:
-                state = (rows[j1][state] & S_u).bit_length() - 1
+            if state:  # an open g: v's edge is cut (S_u = {0}) or open at the sum
+                state = (state + j1 if state + j1 < k else k) if S_u != 1 else 0
                 continue
             last = ends[g]
             if last is None or last[0] is None:

@@ -8,10 +8,14 @@ The core dynamic program roots the tree at its smallest taxon and gives the
 edge above each vertex a state: 0 when it is cut (all taxa below already sit
 in finished blocks of size >= k), or j = 1..k when one unfinished block
 crosses it with j taxa below, j saturating at k, which is sound because only
-"at least k" ever matters.  One rule, :func:`_join`, combines the states of
-two child edges; the enumeration backtracker reads the same rule in mask
-form, :func:`_partners`.
-Total work is O(n * k^2) big-int operations.
+"at least k" ever matters.  The edge rule: child edges in states j1 and j2
+put the edge above them in state min(j1 + j2, k), as a cut child passes the
+other's state up and two open blocks merge; when both were open and the sum
+reaches k, the block may also close, state 0.  :func:`_dp_tables` applies it
+to whole vectors, :func:`_partners` in mask form for the enumeration, and
+:func:`_join` pointwise, as the tests' reference.  Vectors stop at
+min(k, taxa below), so the DP's big-int work is O(n * k) by the subtree-size
+argument.
 """
 
 from __future__ import annotations
@@ -64,8 +68,8 @@ def count_closed_k2(n: int) -> int:
 
 def _join(j1: int, j2: int, k: int) -> tuple[int, ...]:
     """States of the edge above a vertex whose child edges are in states
-    ``j1`` and ``j2``: a cut child passes the other's state up, and two open
-    blocks merge into one, which may also close once it holds k taxa."""
+    ``j1`` and ``j2``, by the edge rule (module docstring): the pointwise
+    reference the tests hold the DP and :func:`_partners` to."""
     if not (j1 and j2):
         return (j1 + j2,)
     s = min(j1 + j2, k)
@@ -73,12 +77,10 @@ def _join(j1: int, j2: int, k: int) -> tuple[int, ...]:
 
 
 def _partners(J: int, S: int, k: int) -> int:
-    """Mask form of :func:`_join` (bit s for state s): the states j2 of one
-    child edge for which ``_join(j1, j2, k)`` meets the allowed set ``S``
-    for some state j1 of the other in the mask ``J``.  A cut child passes
-    the other's state up, and two open blocks sum, up to k, where the block
-    may stay open or close.  O(1) int operations, plus one shift per state
-    of ``J`` in 1..k-2."""
+    """The edge rule (module docstring) in mask form, bit s for state s:
+    the states j2 of one child edge for which ``_join(j1, j2, k)`` meets
+    the allowed set ``S`` for some state j1 of the other in the mask ``J``.
+    O(1) int operations, plus one shift per state of ``J`` in 1..k-2."""
     m = S if J & 1 else 0  # j1 = 0 passes j2 up
     J &= -2
     if J:
@@ -108,15 +110,16 @@ def _dp_tables(tree: Tree, k: int) -> Iterator[tuple[int, Sequence[int]]]:
 
     Yields ``(v, vec)`` for every vertex, children first and the top vertex
     (see _joined_children) last; ``vec[s]`` counts the partial solutions
-    below v with the edge above v in state s, so the top's ``vec[0]`` is
-    the count.  A vector is dropped once its parent's is built.  Shared
+    below v with the edge above v in state s <= min(k, taxa below v), so
+    the top's ``vec[0]`` is the count.  Sums of states saturate at k, and
+    ``vec[0]`` also gains the part of ``vec[k]`` where both child edges
+    were open.  A vector is dropped once its parent's is built.  Shared
     with the enumeration backtracker so listing explores no dead branches.
     """
     n = tree.n
     children = _joined_children(tree)
-    states = range(k + 1)
-    join = [[_join(j1, j2, k) for j2 in states] for j1 in states]
-    leaf = (int(k == 1), 1) + (0,) * (k - 1)  # a singleton block needs k == 1
+    cap = [min(s, k) for s in range(2 * k + 1)]  # sums of two states, saturating
+    leaf = (int(k == 1), 1)  # a singleton block needs k == 1
     vecs: list[Sequence[int] | None] = [None] * len(children)
     for v in tree._rooting().postorder + (len(children) - 1,):
         if v < n:
@@ -125,18 +128,18 @@ def _dp_tables(tree: Tree, k: int) -> Iterator[tuple[int, Sequence[int]]]:
             f, g = children[v]
             vf, vg = vecs[f], vecs[g]
             vecs[f] = vecs[g] = None
-            vec = [0] * (k + 1)
-            for j1 in states:
-                x = vf[j1]
-                if not x:
-                    continue
-                row = join[j1]
-                for j2 in states:
-                    y = vg[j2]
-                    if y:
-                        xy = x * y
-                        for s in row[j2]:
-                            vec[s] += xy
+            vec = [0] * (cap[len(vf) + len(vg) - 2] + 1)
+            for j1, x in enumerate(vf):
+                if x:
+                    for s, y in enumerate(vg, j1):
+                        if y:
+                            vec[cap[s]] += x * y
+            if len(vec) > k:  # two open blocks that reach k may also close
+                vec[0] += vec[k]
+                if vf[0] and len(vg) > k:
+                    vec[0] -= vf[0] * vg[k]
+                if vg[0] and len(vf) > k:
+                    vec[0] -= vf[k] * vg[0]
         vecs[v] = vec
         yield v, vec
 

@@ -84,6 +84,16 @@ class TestBench:
             run_bench(budgets=(0,))
         with pytest.raises(ValueError):
             run_bench(families=("fully_loaded",), ks=(1,))
+        with pytest.raises(ValueError, match="k=4.*n_cap of 3"):
+            run_bench(families=("caterpillar",), ks=(4,), n_cap=3)
+
+    def test_k_above_the_size_cap_is_an_error(self, capsys):
+        argv = ["bench", "--n-cap", "3", "--k-list", "4", "--families", "caterpillar",
+                "--budgets", "0.1"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "k=4" in captured.err
 
 
 class TestCli:

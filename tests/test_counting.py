@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -59,10 +61,26 @@ class TestCountConvex:
             count_convex(example7, 0)
 
     @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 10 ** 6), n=st.integers(4, 9), k=st.integers(1, 4))
-    def test_matches_brute_force(self, seed, n, k):
+    @given(seed=st.integers(0, 10 ** 6), n=st.integers(4, 9), data=st.data())
+    def test_matches_brute_force(self, seed, n, data):
+        """Every k up to n + 1, so the oracle also judges vectors shorter
+        than k + 1 and the saturation at k near n."""
+        k = data.draw(st.integers(1, n + 1), label="k")
         t = random_tree(n, seed=seed)
         assert count_convex(t, k) == brute_count(t, k)
+
+    def test_memory_stays_linear_at_large_k(self):
+        """Vectors stop at the taxa below and no join table is built, so a
+        count at k = n/2 stays small: 41 KB, against 5.9 MB with (k+1)-wide
+        vectors and a (k+1)^2 join table."""
+        t = caterpillar(600)
+        tracemalloc.start()
+        try:
+            assert count_convex(t, 300) == caterpillar_count(600, 300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10 ** 6), n=st.integers(3, 16))
@@ -71,8 +89,10 @@ class TestCountConvex:
 
 
 class TestEdgeRule:
-    """``_partners`` is the mask form of ``_join``: the DP reads one, the
-    listing stream the other, so they must state the same rule."""
+    """The edge rule of ``counting``'s docstring: ``_join`` states it
+    pointwise, as the reference, and ``_partners``, which the listing
+    stream reads, in mask form; the DP is held to it by the brute-force
+    counts."""
 
     @staticmethod
     def partners_by_join(J, S, k):

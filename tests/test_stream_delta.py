@@ -246,12 +246,14 @@ def test_forced_subtrees_are_not_walked_again():
 
 def test_first_character_builds_only_the_options_it_takes():
     """The stream runs the DP, then builds only the options its first
-    character takes, so that character costs a small multiple of the count:
-    line events of ``characters.py`` and ``counting.py`` against those of
-    ``count_convex``, bounded at 5% above 1.60 and 1.53 (building every
-    option of each vertex entered read 2.36 and 2.35)."""
+    character takes, so that character costs little beyond the count: the
+    line events of ``characters.py`` and ``counting.py`` for the first
+    character, less those of ``count_convex``, bounded at 5% above 79 752
+    and 84 977 (the stream that built its edge rule's rows read those;
+    building every option of each vertex entered read 2.36 and 2.35 times
+    the count)."""
     modules = (characters, counting)
-    for tree, bound in ((caterpillar(2000), 1.05 * 1.60), (random_tree(2000), 1.05 * 1.53)):
+    for tree, bound in ((caterpillar(2000), 1.05 * 79_752), (random_tree(2000), 1.05 * 84_977)):
         first = line_events(lambda: next(_block_stream(tree, 3)), modules)
         count = line_events(lambda: count_convex(tree, 3), modules)
-        assert first <= bound * count, (tree.n, first / count)
+        assert first - count <= bound, (tree.n, first - count)
