@@ -13,15 +13,20 @@ import argparse
 import sys
 
 from convchar import caterpillar_count, fully_loaded_count, rate_table_tsv, run_bench
-from convchar.cli import EXIT_DOMAIN, EXIT_OK, _csv_of, _int_at_least
+from convchar.cli import (
+    EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, _csv_of, _int_at_least, _positive_float,
+)
 
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--kmax", type=_int_at_least(1), default=6)
-    ap.add_argument("--budgets", type=_csv_of(float), default="0.5,2")
+    ap.add_argument("--budgets", type=_csv_of(_positive_float), default="0.5,2")
     ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         _print_tables(args)
     except OSError as exc:  # e.g. stdout closed early by `| head`

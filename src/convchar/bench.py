@@ -95,7 +95,7 @@ def run_bench(
             if max(3, k) > n_cap:
                 raise ValueError(f"k={k} needs {max(3, k)} taxa, above the n_cap of {n_cap}")
             for budget in budgets:
-                if budget <= 0:
+                if not budget > 0:  # also rejects nan
                     raise ValueError("budgets must be positive")
                 n = max(3, k)
                 best_n = 0

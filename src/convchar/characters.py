@@ -158,16 +158,15 @@ def _parsimony(tree: Tree, masks: Sequence[int]) -> int:
     """Fitch score of a partition given as block masks (see parsimony_score).
 
     One flat pass on the tree rooted at taxon 0: each leaf's state set is
-    the bit of its block, and each internal vertex in postorder takes the
-    intersection of its two children's sets, or their union at the cost of
-    one change; the edge to taxon 0 costs one more when its child's set
-    misses taxon 0's block.
+    the bit of its block, and each internal vertex, bottom-up by descending
+    id (trees module docstring), takes the intersection of its two
+    children's sets, or their union at the cost of one change; the edge to
+    taxon 0 costs one more when its child's set misses taxon 0's block.
     """
     n = tree.n
     if n == 1:
         return 0
-    rd = tree._rooting()
-    children = rd.children
+    children = tree._children
     states = [0] * len(children)
     bit = 1
     for bm in masks:
@@ -177,16 +176,15 @@ def _parsimony(tree: Tree, masks: Sequence[int]) -> int:
             bm ^= low
         bit <<= 1
     score = 0
-    for v in rd.postorder:
-        if v >= n:
-            f, g = children[v]
-            a, b = states[f], states[g]
-            inter = a & b
-            if inter:
-                states[v] = inter
-            else:
-                states[v] = a | b
-                score += 1
+    for v in range(len(children) - 1, n - 1, -1):
+        f, g = children[v]
+        a, b = states[f], states[g]
+        inter = a & b
+        if inter:
+            states[v] = inter
+        else:
+            states[v] = a | b
+            score += 1
     if not states[children[0][0]] & states[0]:
         score += 1
     return score
@@ -298,7 +296,7 @@ def _block_stream(tree: Tree, k: int) -> Iterator[tuple[list[int], list[int], li
         state with a count of 1: the blocks it closes, in stream order, the
         state of v's edge, and the taxa of the block open on it (0 when it
         is cut).  The stream's own walk, every option being the only one,
-        in postorder on an explicit stack."""
+        children first on an explicit stack."""
         closed: list[int] = []
         masks: list[int] = []  # open taxa of the finished children
         todo = [(v, S, False)]
@@ -452,7 +450,7 @@ def stream_encoding(tree: Tree, f) -> tuple[int, ...]:
     n = tree.n
     if n == 1:
         return ()  # no edges
-    children = tree._rooting().children
+    children = tree._children
     c0 = children[0][0]
     preorder, decision, stack = [], [c0], [c0]
     while stack:

@@ -64,6 +64,9 @@ def _int_at_least(low: int):
     return _checked(int, lambda value: value >= low, f"at least {low}")
 
 
+_positive_float = _checked(float, lambda value: value > 0, "positive")  # rejects nan
+
+
 def _csv_of(convert):
     def parse(text: str) -> list:
         try:
@@ -191,8 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     family = _checked(str.strip, FAMILIES.__contains__, "one of " + ", ".join(FAMILIES))
     p.add_argument("--families", type=_csv_of(family), default="caterpillar,random")
     p.add_argument("--k-list", type=_csv_of(_int_at_least(1)), default="1,2,3")
-    p.add_argument("--budgets", type=_csv_of(_checked(float, lambda b: b > 0, "positive")),
-                   default="1")
+    p.add_argument("--budgets", type=_csv_of(_positive_float), default="1")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-cap", type=_int_at_least(3), default=64)
     p.set_defaults(func=_cmd_bench)

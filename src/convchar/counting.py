@@ -101,27 +101,29 @@ def _joined_children(tree: Tree) -> tuple[tuple[int, ...], ...]:
     """Children in the rooting at taxon 0, plus a top vertex (id
     ``num_vertices()``) over the root's child c0 and taxon 0: their shared
     edge counts as two child edges that must join into a cut one."""
-    children = tree._rooting().children
+    children = tree._children
     return children + ((children[0][0], 0),)
 
 
 def _dp_tables(tree: Tree, k: int) -> Iterator[tuple[int, Sequence[int]]]:
     """Per-vertex DP vectors for the edge above each vertex.
 
-    Yields ``(v, vec)`` for every vertex, children first and the top vertex
-    (see _joined_children) last; ``vec[s]`` counts the partial solutions
-    below v with the edge above v in state s <= min(k, taxa below v), so
-    the top's ``vec[0]`` is the count.  Sums of states saturate at k, and
-    ``vec[0]`` also gains the part of ``vec[k]`` where both child edges
-    were open.  A vector is dropped once its parent's is built.  Shared
-    with the enumeration backtracker so listing explores no dead branches.
+    Yields ``(v, vec)`` for every vertex, children first in the order of
+    the trees module docstring, and the top vertex (see _joined_children)
+    last; ``vec[s]`` counts the partial solutions below v with the edge
+    above v in state s <= min(k, taxa below v), so the top's ``vec[0]`` is
+    the count.  Sums of states saturate at k, and ``vec[0]`` also gains the
+    part of ``vec[k]`` where both child edges were open.  A vector is
+    dropped once its parent's is built.  Shared with the enumeration
+    backtracker so listing explores no dead branches.
     """
     n = tree.n
     children = _joined_children(tree)
     cap = [min(s, k) for s in range(2 * k + 1)]  # sums of two states, saturating
     leaf = (int(k == 1), 1)  # a singleton block needs k == 1
     vecs: list[Sequence[int] | None] = [None] * len(children)
-    for v in tree._rooting().postorder + (len(children) - 1,):
+    top = len(children) - 1
+    for v in (*range(1, n), *range(top - 1, n - 1, -1), 0, top):
         if v < n:
             vec = leaf
         else:

@@ -1,9 +1,11 @@
 """Tree families and structural transformations.
 
-Generators build Newick text and feed it through the parser, so every
-produced tree goes through the same validation as user input.  The random
-model is sequential uniform edge attachment, which yields the uniform
-distribution over labelled binary topologies.
+Generators build Newick text for the parser or, as ``random_tree`` and
+``all_topologies`` do, an edge list for ``trees._assemble``, which the
+parser also ends in, so every produced tree goes through the same
+validation and numbering as user input.  The random model is sequential
+uniform edge attachment, which yields the uniform distribution over
+labelled binary topologies.
 """
 
 from __future__ import annotations
@@ -259,9 +261,10 @@ def fully_loaded_decomposition(tree: Tree, k: int) -> FullyLoadedSpec | None:
     taxon and minimizing the number of undersized parts bottom-up.
 
     The witness returned: the part holding the smallest taxon is every
-    taxon not below v, for the first vertex v in the rooting's postorder
-    (the other taxa by id, then the internal vertices by descending id)
-    at which that part and a partition of the taxa below v fit; below v,
+    taxon not below v, for the first vertex v other than taxon 0 in the
+    rooting's children-first order (trees module docstring: the other taxa
+    by id, then the internal vertices by descending id) at which that part
+    and a partition of the taxa below v fit; below v,
     a whole subtree stays one part wherever splitting it gains nothing.
     """
     if k < 2:
@@ -292,30 +295,27 @@ def fully_loaded_decomposition(tree: Tree, k: int) -> FullyLoadedSpec | None:
         # Vacuously fully loaded: single-leaf scaffold.
         return build_spec([tree.taxa])
 
-    rd = tree._rooting()
+    children = tree._children
     below = tree._below()
     V = tree.num_vertices()
+    order = [*range(1, n), *range(V - 1, n - 1, -1)]  # children first, no taxon 0
     INF = n + 10
     min_under = [INF] * V
     take_whole = [False] * V
-    for v in rd.postorder:
-        if v == 0:
-            continue
+    for v in order:
         size = below[v].bit_count()
         best, whole = INF, False
         if size <= k - 1:
             best, whole = (0 if size == k - 1 else 1), True
         if v >= n:
-            f, g = rd.children[v]
+            f, g = children[v]
             split_cost = min_under[f] + min_under[g]
             if split_cost < best:
                 best, whole = split_cost, False
         min_under[v] = best
         take_whole[v] = whole
 
-    for v in rd.postorder:
-        if v == 0:
-            continue
+    for v in order:
         top_size = n - below[v].bit_count()
         if not 1 <= top_size <= k - 1:
             continue
@@ -328,7 +328,7 @@ def fully_loaded_decomposition(tree: Tree, k: int) -> FullyLoadedSpec | None:
                 if take_whole[w]:
                     parts.append(tree._labels_of(below[w]))
                 else:
-                    stack.extend(rd.children[w])
+                    stack.extend(children[w])
             return build_spec(parts)
     return None
 
@@ -342,9 +342,8 @@ def is_fully_loaded(tree: Tree, k: int) -> bool:
 
 
 def _away_mask(tree: Tree, v: int, parent: int) -> int:
-    rd = tree._rooting()
     below = tree._below()
-    if rd.parent[v] == parent:
+    if tree._parent[v] == parent:
         return below[v]
     return ((1 << tree.n) - 1) ^ below[parent]
 
@@ -413,13 +412,13 @@ def _edge_of_split(tree: Tree, split: Split) -> tuple[int, int]:
     want_b = frozenset(split.side_b)
     if frozenset(split.side_a) | want_b != tree.taxa or frozenset(split.side_a) & want_b:
         raise ValueError("split sides do not partition the tree's taxa")
-    rd = tree._rooting()
+    parent = tree._parent
     below = tree._below()
     mask_b = tree._mask_of(want_b)
     full = (1 << tree.n) - 1
-    for v in range(1, tree.num_vertices()):
+    for v in range(1, len(parent)):
         if below[v] == mask_b:
-            return rd.parent[v], v
+            return parent[v], v
         if below[v] == full ^ mask_b:
-            return v, rd.parent[v]
+            return v, parent[v]
     raise ValueError("tree does not contain the split")

@@ -2,10 +2,16 @@
 
 Vertices are dense integers: leaves 0..n-1 in sorted label order (so the leaf
 id doubles as the taxon id), internal vertices n..2n-3 in breadth-first
-discovery order from taxon 0.  Every tree is rooted at taxon 0 as it is
-built: an internal vertex's parent is the vertex it was discovered from, so
-it has a smaller id, except the root's child c0, whose parent is leaf 0.
-Reading the internal vertices by descending id is therefore bottom-up.
+discovery order from taxon 0.  A tree is stored as its rooting at taxon 0
+and nothing else: the labels, each vertex's ``parent`` (-1 for taxon 0) and
+its ``children``, ordered by the smallest taxon below them (leaves other
+than 0 have none, taxon 0 has the one vertex c0).  Neighbours are derived
+from these.  An internal vertex's parent is the vertex it was discovered
+from, so it has a smaller id, except c0, whose parent is leaf 0.  Reading
+the internal vertices by descending id is therefore bottom-up, and the
+taxa 1..n-1, then the internal vertices by descending id, then taxon 0
+visit every vertex after all of its children.
+
 Taxon subsets are manipulated as Python int bitmasks, bit i == taxon i.
 Trees are immutable; every "modifying" operation returns a new tree, so
 instances can be shared freely across threads and used as cache keys
@@ -17,7 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 
 class TreeError(ValueError):
@@ -57,12 +63,6 @@ class Tripartition:
     @property
     def parts(self) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
         return self.part_a, self.part_b, self.part_c
-
-
-class _RootData(NamedTuple):
-    parent: tuple[int, ...]
-    children: tuple[tuple[int, ...], ...]
-    postorder: tuple[int, ...]  # every child precedes its parent; root last
 
 
 # A taxon label: anything but whitespace and the Newick punctuation.
@@ -119,7 +119,7 @@ def _assemble(adj: list[list[int] | None], leaf_labels: dict[int, str]) -> "Tree
         (v,) = leaf_labels
         if vertices != 1 or adj[v]:
             raise TreeError("single-taxon tree must be a lone vertex")
-        return Tree((labels[0],), ((),), _RootData((-1,), ((),), (0,)))
+        return Tree((labels[0],), (-1,), ((),))
 
     # A sound leaf reads 0, a sound internal vertex 3 (or 2: suppressed).
     degree = [-1 if nbs is None else len(nbs) for nbs in adj]
@@ -139,8 +139,8 @@ def _assemble(adj: list[list[int] | None], leaf_labels: dict[int, str]) -> "Tree
         vertices -= 1
 
     # Renumber: leaves by sorted label, internals in BFS discovery order.
-    # A vertex's parent in the rooting at taxon 0 is the vertex it was
-    # discovered from.
+    # A vertex's children in the rooting at taxon 0 are the vertices first
+    # discovered from it.
     new_id = [-1] * V
     rank = {lab: i for i, lab in enumerate(labels)}
     for v, lab in leaf_labels.items():
@@ -150,38 +150,30 @@ def _assemble(adj: list[list[int] | None], leaf_labels: dict[int, str]) -> "Tree
     seen[start] = True
     order = [start]
     parent = [-1] * vertices
+    children: list[tuple[int, ...]] = [()] * vertices
     nxt = n
     for v in order:
         pv = new_id[v]
-        for u in adj[v]:
-            if not seen[u]:
-                seen[u] = True
-                if new_id[u] < 0:
-                    new_id[u] = nxt
-                    nxt += 1
-                parent[new_id[u]] = pv
-                order.append(u)
+        kids = [u for u in adj[v] if not seen[u]]
+        for u in kids:
+            seen[u] = True
+            if new_id[u] < 0:
+                new_id[u] = nxt
+                nxt += 1
+            parent[new_id[u]] = pv
+        order += kids
+        children[pv] = tuple([new_id[u] for u in kids])
     if len(order) != vertices:
         raise TreeError("graph is not connected")
 
-    new_adj: list = [None] * vertices
-    for v in order:
-        new_adj[new_id[v]] = tuple(sorted([new_id[u] for u in adj[v]]))
     # Bottom-up by descending id: children ordered by smallest taxon below.
     low = list(range(vertices))
-    children: list[tuple[int, ...]] = [()] * vertices
-    children[0] = new_adj[0]
     for v in range(vertices - 1, n - 1, -1):
-        x, y, z = new_adj[v]
-        p = parent[v]
-        f, g = (y, z) if x == p else (x, z) if y == p else (x, y)
+        f, g = children[v]
         if low[g] < low[f]:
-            f, g = g, f
-        children[v] = (f, g)
+            children[v] = f, g = g, f
         low[v] = low[f]
-    postorder = (*range(1, n), *range(vertices - 1, n - 1, -1), 0)
-    root = _RootData(tuple(parent), tuple(children), postorder)
-    return Tree(tuple(labels), tuple(new_adj), root)
+    return Tree(tuple(labels), tuple(parent), tuple(children))
 
 
 def _degree_error(adj: list[list[int] | None], leaf_labels: dict[int, str]):
@@ -205,25 +197,28 @@ def _degree_error(adj: list[list[int] | None], leaf_labels: dict[int, str]):
 
 
 class Tree:
-    """Immutable unrooted binary tree with distinctly labelled leaves.
+    """Immutable unrooted binary tree with distinctly labelled leaves,
+    stored as its rooting at taxon 0 (see the module docstring).
 
     Construct through :func:`parse_newick` or the generators module; the raw
-    constructor trusts its arguments, the rooting at taxon 0 included.
+    constructor trusts its arguments.
     """
 
     __slots__ = (
-        "_labels", "_adj", "_n", "_newick", "_root", "_below_masks",
+        "_labels", "_parent", "_children", "_newick", "_below_masks",
         "_internal_masks", "_label_ids",
     )
 
     def __init__(
-        self, labels: tuple[str, ...], adj: tuple[tuple[int, ...], ...], root: _RootData
+        self,
+        labels: tuple[str, ...],
+        parent: tuple[int, ...],
+        children: tuple[tuple[int, ...], ...],
     ):
         self._labels = labels
-        self._adj = adj
-        self._n = len(labels)
+        self._parent = parent
+        self._children = children
         self._newick: str | None = None
-        self._root = root
         self._below_masks: tuple[int, ...] | None = None
         self._internal_masks: tuple[int, ...] | None = None
         self._label_ids: dict[str, int] | None = None
@@ -232,7 +227,7 @@ class Tree:
 
     @property
     def n(self) -> int:
-        return self._n
+        return len(self._labels)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -243,13 +238,17 @@ class Tree:
         return frozenset(self._labels)
 
     def num_vertices(self) -> int:
-        return len(self._adj)
+        return len(self._parent)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
+        """The neighbours of ``v`` in ascending order."""
+        p = self._parent[v]
+        if p < 0:
+            return self._children[v]
+        return tuple(sorted((p, *self._children[v])))
 
     def is_leaf(self, v: int) -> bool:
-        return v < self._n
+        return v < len(self._labels)
 
     def taxon_id(self, label: str) -> int:
         i = self._index().get(label)
@@ -292,10 +291,6 @@ class Tree:
     def _labels_of(self, mask: int) -> frozenset[str]:
         return frozenset(_decode(self._labels, mask))
 
-    def _rooting(self) -> _RootData:
-        """Rooted at leaf 0, children ordered by smallest taxon below."""
-        return self._root
-
     def _below(self) -> tuple[int, ...]:
         """Taxa bitmask at or below each vertex of the rooting.
 
@@ -303,14 +298,13 @@ class Tree:
         quadratic in n, which counting, listing and rendering never need.
         """
         if self._below_masks is None:
-            rd = self._rooting()
-            below = [0] * len(self._adj)
-            for v in rd.postorder:
-                if v < self._n:
-                    below[v] |= 1 << v
-                p = rd.parent[v]
-                if p >= 0:
-                    below[p] |= below[v]
+            n, children = len(self._labels), self._children
+            below = [1 << v for v in range(n)]
+            below += [0] * (len(children) - n)
+            for v in range(len(children) - 1, n - 1, -1):
+                f, g = children[v]
+                below[v] = below[f] | below[g]
+            below[0] = (1 << n) - 1
             self._below_masks = tuple(below)
         return self._below_masks
 
@@ -321,15 +315,13 @@ class Tree:
         convexity checks only need these.
         """
         if self._internal_masks is None:
-            if self._n < 4:
+            if self.n < 4:
                 self._internal_masks = ()
             else:
                 below = self._below()
-                c0 = self._rooting().children[0][0]
+                c0 = self._children[0][0]
                 self._internal_masks = tuple(
-                    below[v]
-                    for v in range(self._n, len(self._adj))
-                    if v != c0
+                    below[v] for v in range(self.n, len(below)) if v != c0
                 )
         return self._internal_masks
 
@@ -339,18 +331,18 @@ class Tree:
         """Deterministic Newick: rooted at the smallest taxon's edge,
         subtrees ordered by smallest contained label."""
         if self._newick is None:
-            if self._n == 1:
+            if self.n == 1:
                 self._newick = self._labels[0] + ";"
             else:
-                c0 = self._rooting().children[0][0]
+                c0 = self._children[0][0]
                 self._newick = f"({self._labels[0]},{self._text_away(c0, 0)});"
         return self._newick
 
     def _text_away(self, v: int, away: int) -> str:
         """Rooted Newick text (no ';') of the side of edge ``away``--``v``
         that holds ``v``, subtrees ordered by smallest contained label."""
-        rd = self._rooting()
-        parent, children = rd.parent, rd.children
+        labels, parent, children = self._labels, self._parent, self._children
+        n = len(labels)
         out: list[str] = []
         stack: list = [(v, away)]  # (vertex, neighbour it hangs from) or a literal
         while stack:
@@ -359,8 +351,8 @@ class Tree:
                 out.append(item)
                 continue
             w, p = item
-            if w < self._n:
-                out.append(self._labels[w])
+            if w < n:
+                out.append(labels[w])
                 continue
             if p == parent[w]:
                 f, g = children[w]
@@ -381,16 +373,17 @@ class Tree:
         keep_ids = {self.taxon_id(lab) for lab in keep}
         if not keep_ids:
             raise ValueError("subset must be non-empty")
-        if len(keep_ids) == self._n:
+        n = len(self._labels)
+        if len(keep_ids) == n:
             return self
-        adj: list[list[int] | None] = [list(nbs) for nbs in self._adj]
-        drop = [v for v in range(self._n) if v not in keep_ids]
+        adj: list = [list(self.neighbors(v)) for v in range(len(self._parent))]
+        drop = [v for v in range(n) if v not in keep_ids]
         while drop:
             v = drop.pop()
             for u in adj[v]:
                 nbs = adj[u]
                 nbs.remove(v)
-                if len(nbs) == 1 and u >= self._n:
+                if len(nbs) == 1 and u >= n:
                     drop.append(u)
             adj[v] = None
         return _assemble(adj, {v: self._labels[v] for v in keep_ids})
@@ -400,7 +393,7 @@ class Tree:
         drop_ids = {self.taxon_id(lab) for lab in drop}
         if not drop_ids:
             return self
-        if len(drop_ids) == self._n:
+        if len(drop_ids) == self.n:
             raise ValueError("cannot delete every taxon")
         return self.restrict(
             lab for i, lab in enumerate(self._labels) if i not in drop_ids
@@ -409,26 +402,25 @@ class Tree:
     def splits(self) -> list[Split]:
         """One split per edge (2n-3 for n >= 3); side_a holds the smallest
         taxon."""
-        if self._n < 2:
+        if self.n < 2:
             return []
         below = self._below()
-        full = (1 << self._n) - 1
+        full = (1 << self.n) - 1
         return [
             Split(self._labels_of(full ^ below[v]), self._labels_of(below[v]))
-            for v in range(1, len(self._adj))
+            for v in range(1, len(below))
         ]
 
     def tripartitions(self) -> list[Tripartition]:
         """One tripartition per internal vertex, parts ordered by smallest
         label."""
-        if self._n < 3:
+        if self.n < 3:
             return []
-        rd = self._rooting()
         below = self._below()
-        full = (1 << self._n) - 1
+        full = (1 << self.n) - 1
         out = []
-        for v in range(self._n, len(self._adj)):
-            masks = [below[c] for c in rd.children[v]]
+        for v in range(self.n, len(below)):
+            masks = [below[c] for c in self._children[v]]
             masks.append(full ^ below[v])
             masks.sort(key=lambda m: m & -m)
             out.append(Tripartition(*(self._labels_of(m) for m in masks), center=v))
@@ -440,13 +432,14 @@ class Tree:
         Small-n convention: n=2 gives the single pair, the 3-star gives all
         three pairs.
         """
-        if self._n < 2:
+        n = len(self._labels)
+        if n < 2:
             return []
-        if self._n == 2:
+        if n == 2:
             return [(self._labels[0], self._labels[1])]
         pairs = []
-        for v in range(self._n, len(self._adj)):
-            leaves = sorted(u for u in self._adj[v] if u < self._n)
+        for v in range(n, len(self._parent)):
+            leaves = sorted(u for u in self.neighbors(v) if u < n)
             for a, b in combinations(leaves, 2):
                 pairs.append((self._labels[a], self._labels[b]))
         return sorted(pairs)
@@ -460,13 +453,13 @@ class Tree:
         """
         if k < 2:
             raise ValueError("k must be at least 2")
-        if self._n <= k:
+        if self.n <= k:
             raise ValueError("bounded split requires n > k")
-        rd = self._rooting()
+        children = self._children
         below = self._below()
-        cur = rd.children[0][0]
+        cur = children[0][0]
         while True:
-            options = [w for w in rd.children[cur] if below[w].bit_count() >= k]
+            options = [w for w in children[cur] if below[w].bit_count() >= k]
             if not options:
                 break
             options.sort(key=lambda w: (-below[w].bit_count(), below[w] & -below[w]))
@@ -474,7 +467,7 @@ class Tree:
         far = below[cur]
         size = far.bit_count()
         assert k <= size <= 2 * (k - 1)
-        full = (1 << self._n) - 1
+        full = (1 << self.n) - 1
         return Split(self._labels_of(full ^ far), self._labels_of(far))
 
 

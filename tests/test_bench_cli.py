@@ -33,6 +33,14 @@ from convchar.cli import main
 EXAMPLE = "(((a,b),c),((f,g),e),d);"
 
 
+def load_make_tables():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_tables.py"
+    spec = importlib.util.spec_from_file_location("make_tables", script)
+    make_tables = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_tables)
+    return make_tables
+
+
 class TestBench:
     def test_fake_clock_is_deterministic(self):
         kw = dict(families=("caterpillar",), ks=(2,), budgets=(50.0,), seed=1)
@@ -62,10 +70,7 @@ class TestBench:
             assert rec.max_n_completed >= 3
 
     def test_make_tables_reports_closed_stdout(self):
-        script = Path(__file__).resolve().parents[1] / "scripts" / "make_tables.py"
-        spec = importlib.util.spec_from_file_location("make_tables", script)
-        make_tables = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(make_tables)
+        make_tables = load_make_tables()
 
         class ClosedPipe(io.StringIO):
             def write(self, text):
@@ -77,11 +82,20 @@ class TestBench:
         assert err.getvalue().startswith("error: ")
         assert "Traceback" not in err.getvalue()
 
+    def test_make_tables_usage_error_exit_code(self):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert load_make_tables().main(["--budgets", "0"]) == 2
+        assert "must be positive" in err.getvalue()
+        assert "Traceback" not in err.getvalue()
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             run_bench(families=("nope",))
         with pytest.raises(ValueError):
             run_bench(budgets=(0,))
+        with pytest.raises(ValueError):
+            run_bench(budgets=(float("nan"),))
         with pytest.raises(ValueError):
             run_bench(families=("fully_loaded",), ks=(1,))
         with pytest.raises(ValueError, match="k=4.*n_cap of 3"):

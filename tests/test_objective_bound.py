@@ -28,23 +28,22 @@ def old_parsimony(tree, masks):
             low = bm & -bm
             block_of[low.bit_length() - 1] = bi
             bm ^= low
-    rd = tree._rooting()
-    states = [0] * tree.num_vertices()
+    children = tree._children
+    states = [0] * len(children)
     score = 0
-    for v in rd.postorder:
-        if v == 0:
-            continue
+    # Children first (the trees module's id invariant), taxon 0 left out.
+    for v in (*range(1, n), *range(len(children) - 1, n - 1, -1)):
         if v < n:
             states[v] = 1 << block_of[v]
         else:
-            a, b = (states[c] for c in rd.children[v])
+            a, b = (states[c] for c in children[v])
             inter = a & b
             if inter:
                 states[v] = inter
             else:
                 states[v] = a | b
                 score += 1
-    if not states[rd.children[0][0]] & (1 << block_of[0]):
+    if not states[children[0][0]] & (1 << block_of[0]):
         score += 1
     return score
 

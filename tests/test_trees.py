@@ -132,9 +132,9 @@ TREE_ERRORS = [
     ("((a,b,c,d),(a,e));", "duplicate taxon label 'a'"),
 ]
 
-# labels and _adj recorded from the dict-of-sets parser this one replaced:
-# internal ids follow breadth-first discovery from the smallest label,
-# neighbours visited in the order their nodes close in the text.
+# labels and neighbours recorded from the dict-of-sets parser this one
+# replaced: internal ids follow breadth-first discovery from the smallest
+# label, neighbours visited in the order their nodes close in the text.
 GOLDEN = [
     ('a;', ('a',), ((),)),
     ('(a,b);', ('a', 'b'), ((1,), (0,))),
@@ -174,7 +174,7 @@ class TestParserPinned:
     def test_golden_adjacency(self, text, labels, adj):
         t = parse_newick(text)
         assert t.labels == labels
-        assert t._adj == adj
+        assert tuple(t.neighbors(v) for v in range(t.num_vertices())) == adj
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), seed=st.integers(0, 10 ** 6), n=st.integers(3, 12))
@@ -390,15 +390,30 @@ def rooting_corpus():
 
 class TestRooting:
     def test_single_taxon_is_trivially_rooted(self):
-        assert tuple(parse_newick("a;")._rooting()) == ((-1,), ((),), (0,))
+        t = parse_newick("a;")
+        assert (t._parent, t._children) == ((-1,), ((),))
 
     def test_matches_separate_pass(self):
         for t in rooting_corpus():
-            rd = t._rooting()
-            assert (rd.parent, rd.children) == old_rooting(t), t
-            place = {v: i for i, v in enumerate(rd.postorder)}
-            assert sorted(place) == list(range(t.num_vertices()))
-            assert all(place[v] < place[rd.parent[v]] for v in range(1, t.num_vertices()))
-            c0 = rd.children[0][0]
-            assert rd.parent[c0] == 0
-            assert all(t.n <= rd.parent[v] < v for v in range(t.n, t.num_vertices()) if v != c0)
+            n, V = t.n, t.num_vertices()
+            parent, children = t._parent, t._children
+            assert (parent, children) == old_rooting(t), t
+            # The id invariant: taxa 1..n-1, internal vertices by
+            # descending id, then taxon 0 visit every child before its parent.
+            order = [*range(1, n), *range(V - 1, n - 1, -1), 0]
+            place = {v: i for i, v in enumerate(order)}
+            assert sorted(place) == list(range(V))
+            assert all(place[v] < place[parent[v]] for v in range(1, V))
+            c0 = children[0][0]
+            assert parent[c0] == 0
+            assert all(n <= parent[v] < v for v in range(n, V) if v != c0)
+            # The derived neighbours: ascending, symmetric, a leaf of
+            # degree 1 and an internal vertex of degree 3.
+            nbs = [t.neighbors(v) for v in range(V)]
+            assert all(
+                list(nb) == sorted(set(nb))
+                and all(v in nbs[u] for u in nb)
+                and len(nb) == (1 if v < n else 3)
+                for v, nb in enumerate(nbs)
+            ), t
+        assert parse_newick("a;").neighbors(0) == ()
