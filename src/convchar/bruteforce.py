@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .characters import Character, _convex
+from .characters import Character
 from .trees import Tree
 
 MAX_TAXA = 14
@@ -46,6 +46,21 @@ def _mask_partitions(n: int, min_block: int) -> Iterator[tuple[int, ...]]:
             sizes.pop()
 
     yield from rec(0, 0)
+
+
+def _convex(tree: Tree, masks: Sequence[int]) -> bool:
+    """Convexity of a partition of the tree's taxa given as block masks, by
+    counting the blocks each internal edge splits: the definition, edge by
+    edge, where ``is_convex`` uses one Fitch pass instead."""
+    for em in tree._internal_edge_masks():
+        crossing = 0
+        for bm in masks:
+            x = em & bm
+            if x and x != bm:
+                crossing += 1
+                if crossing == 2:
+                    return False
+    return True
 
 
 def _guard(n: int, min_block: int) -> None:

@@ -21,11 +21,15 @@ there on are spliced back, so its Python work follows the changed region,
 not the depth of the tree.  A subtree that the allowed state of its edge
 leaves with exactly one completion (the DP's count is 1) is walked at most
 twice per stream, the second time to record its blocks, and from then on
-spliced in whole, like a leaf.  ``trees._decode`` is the one way back to
-labels: ``_rendered`` renders only the blocks a character adds, into one
-slot per smallest taxon id, for ``enumerate_convex`` and the CLI's
-``list``, and a solver decodes its answer.  ``Character`` objects built
-from masks go through the trusted ``Character._canonical``.
+spliced in whole, like a leaf.  A solver may prune the stream with an
+``accept`` hook that sees each block as it joins a character: a rejected
+block ends every character below the last choice point, none of them
+drawn.  Listing passes no hook and pays nothing for it.  ``trees._decode``
+is the one way back to labels: ``_rendered`` renders only the blocks a
+character adds, into one slot per smallest taxon id, for
+``enumerate_convex`` and the CLI's ``list``, and a solver decodes its
+answer.  ``Character`` objects built from masks go through the trusted
+``Character._canonical``.
 """
 
 from __future__ import annotations
@@ -137,23 +141,6 @@ def _block_masks(tree: Tree, f) -> list[int]:
     return [tree._mask_of(b) for b in _partition(tree, f).blocks]
 
 
-def _convex(tree: Tree, masks: Sequence[int]) -> bool:
-    """Convexity of a partition of the tree's taxa given as block masks, by
-    counting the blocks each internal edge splits.  O(edges x blocks) when
-    it accepts, but it stops at the first edge that splits two blocks, so it
-    is the cheaper test where most partitions are rejected early
-    (``solvers._agree``); ``is_convex`` uses one Fitch pass instead."""
-    for em in tree._internal_edge_masks():
-        crossing = 0
-        for bm in masks:
-            x = em & bm
-            if x and x != bm:
-                crossing += 1
-                if crossing == 2:
-                    return False
-    return True
-
-
 def _parsimony(tree: Tree, masks: Sequence[int]) -> int:
     """Fitch score of a partition given as block masks (see parsimony_score).
 
@@ -211,7 +198,30 @@ def parsimony_score(tree: Tree, f) -> int:
     return _parsimony(tree, _block_masks(tree, f))
 
 
-def _block_stream(tree: Tree, k: int) -> Iterator[tuple[list[int], list[int], list[int]]]:
+class _Rejected(Exception):
+    """A block failed the block stream's ``accept`` hook."""
+
+
+def _checking(blocks: list[int], accept: Callable[[int, int], bool]) -> tuple[Callable, Callable]:
+    """``append`` and ``extend`` for the live list ``blocks`` that pass each
+    block and its depth in the list to ``accept`` first, and raise
+    _Rejected, without appending it, at the first block it rejects."""
+
+    def append(block: int) -> None:
+        if not accept(block, len(blocks)):
+            raise _Rejected
+        blocks.append(block)
+
+    def extend(new: Iterable[int]) -> None:
+        for block in new:
+            append(block)
+
+    return append, extend
+
+
+def _block_stream(
+    tree: Tree, k: int, accept: Callable[[int, int], bool] | None = None
+) -> Iterator[tuple[list[int], list[int], list[int]]]:
     """Every convex character of ``tree`` with min block size >= k, in
     stream order (see enumerate_convex), as ``(live, dropped, added)``: the
     character's block masks, and the masks dropped from and added to the
@@ -239,6 +249,15 @@ def _block_stream(tree: Tree, k: int) -> Iterator[tuple[list[int], list[int], li
     the blocks closed before it, and climbs back only as far as the first
     pending step whose continuation is known to be unchanged: from there on
     the previous character's blocks come back as they were.
+
+    With ``accept``, every block about to join the live list, as it
+    closes, as part of a ``collapse`` record or spliced back, first goes
+    to ``accept(block, depth)``, depth being its index in the list, so the
+    hook sees each live list grow in order and may keep state per depth.
+    A rejection ends every character below the last choice point, all of
+    which hold the block: the stream pops to that point without yielding,
+    and ``dropped`` and ``added`` stay relative to the last character it
+    yielded.  Without a hook the live list's own methods append.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -246,7 +265,8 @@ def _block_stream(tree: Tree, k: int) -> Iterator[tuple[list[int], list[int], li
     if n < k:
         return
     if n == 1:
-        yield [1], [], [1]
+        if accept is None or accept(1, 0):
+            yield [1], [], [1]
         return
     children = _joined_children(tree)
     # States with a nonzero count, and an internal vertex's states with a
@@ -330,6 +350,10 @@ def _block_stream(tree: Tree, k: int) -> Iterator[tuple[list[int], list[int], li
     # visit to find a filled cell ends its character with the previous
     # character's last ``ends[g][0] - seen[g]`` blocks.  A forced subtree
     # pushes no choice point, so splicing it in keeps these records valid.
+    # A rejected walk restarts at a choice point as a character does, but
+    # fills no cell, and its blocks, a splice's included, are checked
+    # before ``tail`` is cut: after a rejection ``tail`` still ends with
+    # the last yielded character's blocks, and a splice brings those back.
     v, S, i, cont, opened = len(children) - 1, 1, 0, None, None
     blocks: list[int] = []
     choices: list = []
@@ -337,62 +361,77 @@ def _block_stream(tree: Tree, k: int) -> Iterator[tuple[list[int], list[int], li
     entered = [0] * len(children)  # forced allowed sets walked, per vertex
     ends: list[list[int | None] | None] = [None] * len(children)
     kept, tail, spliced, end = 0, [], 0, [None]
-    while True:
-        while v >= n:  # descend along option i, then first options
-            # Forced: S, which never holds a state outside support[v], is
-            # one state with a count of 1, so no choice is left below v.
-            if S & unit[v] and not S & (S - 1):
-                if entered[v] & S:  # walked before: splice it in like a leaf
-                    closed, state, m = collapse(v, S)
-                    blocks += closed
-                    start, opened = opened, (m, opened) if state else opened
+    append, extend = blocks.append, blocks.extend
+    if accept is not None:
+        append, extend = _checking(blocks, accept)
+    while True:  # walks until one is rejected, then from the last choice point
+        try:
+            while True:
+                while v >= n:  # descend along option i, then first options
+                    # Forced: S, which never holds a state outside support[v], is
+                    # one state with a count of 1, so no choice is left below v.
+                    if S & unit[v] and not S & (S - 1):
+                        if entered[v] & S:  # walked before: splice it in like a leaf
+                            closed, state, m = collapse(v, S)
+                            extend(closed)
+                            start, opened = opened, (m, opened) if state else opened
+                            break
+                        entered[v] |= S
+                    S_f, after_f, later = option(v, S, i)
+                    if later >= 0:
+                        choices.append((v, S, later, cont, opened, len(blocks)))
+                        end = [None]
+                    cont = ((opened, after_f), cont)
+                    v, S, i = children[v][0], S_f, 0
+                else:  # a leaf's allowed set is one state: 0 (a singleton, S = 1) or 1
+                    state, start, opened = S >> 1, opened, (1 << v, opened)
+                while True:  # finish vertices whose children are both done
+                    if not state and opened is not start:  # a block closes here
+                        m = 0
+                        while opened is not start:
+                            x, opened = opened
+                            m |= x
+                        append(m)
+                    if cont is None or len(cont[0]) == 2:
+                        break
+                    (start, j1, S_u, g), cont = cont
+                    if state:  # an open g: v's edge is cut (S_u = {0}) or open at the sum
+                        state = (state + j1 if state + j1 < k else k) if S_u != 1 else 0
+                        continue
+                    last = ends[g]
+                    if last is None or last[0] is None:
+                        seen[g], ends[g] = len(blocks), end
+                        state = j1
+                        continue
+                    spliced = last[0] - seen[g]
+                    extend(tail[len(tail) - spliced:])
+                    del tail[len(tail) - spliced:]
+                    cont = None
                     break
-                entered[v] |= S
-            S_f, after_f, later = option(v, S, i)
-            if later >= 0:
-                choices.append((v, S, later, cont, opened, len(blocks)))
-                end = [None]
-            cont = ((opened, after_f), cont)
-            v, S, i = children[v][0], S_f, 0
-        else:  # a leaf's allowed set is one state: 0 (a singleton, S = 1) or 1
-            state, start, opened = S >> 1, opened, (1 << v, opened)
-        while True:  # finish vertices whose children are both done
-            if not state and opened is not start:  # a block closes here
-                m = 0
-                while opened is not start:
-                    x, opened = opened
-                    m |= x
-                blocks.append(m)
-            if cont is None or len(cont[0]) == 2:
-                break
-            (start, j1, S_u, g), cont = cont
-            if state:  # an open g: v's edge is cut (S_u = {0}) or open at the sum
-                state = (state + j1 if state + j1 < k else k) if S_u != 1 else 0
-                continue
-            last = ends[g]
-            if last is None or last[0] is None:
-                seen[g], ends[g] = len(blocks), end
-                state = j1
-                continue
-            spliced = last[0] - seen[g]
-            blocks += tail[len(tail) - spliced:]
-            del tail[len(tail) - spliced:]
-            cont = None
-            break
-        if cont is not None:  # f is done: descend into g
-            (start, (v, g_allowed, S_u)), cont = cont
-            cont = ((start, state, S_u, v), cont)
-            S = g_allowed[state]
-            ends[v], i = None, 0
-            continue
-        end[0] = len(blocks)
-        yield blocks, tail, blocks[kept:len(blocks) - spliced]
-        if not choices:
-            return
-        v, S, i, cont, opened, kept = choices.pop()
-        tail = blocks[kept:]
-        del blocks[kept:]
-        spliced, end = 0, [None]
+                if cont is not None:  # f is done: descend into g
+                    (start, (v, g_allowed, S_u)), cont = cont
+                    cont = ((start, state, S_u, v), cont)
+                    S = g_allowed[state]
+                    ends[v], i = None, 0
+                    continue
+                end[0] = len(blocks)
+                yield blocks, tail, blocks[kept:len(blocks) - spliced]
+                if not choices:
+                    return
+                v, S, i, cont, opened, kept = choices.pop()
+                tail = blocks[kept:]
+                del blocks[kept:]
+                spliced, end = 0, [None]
+        except _Rejected:
+            # Every character below the last choice point holds the block.
+            if not choices:
+                return
+            v, S, i, cont, opened, top = choices.pop()
+            if top < kept:  # blocks[:kept] are still the last character's
+                tail[:0] = blocks[top:kept]
+                kept = top
+            del blocks[top:]
+            spliced, end = 0, [None]
 
 
 def _rendered(tree: Tree, k: int, render: Callable[[tuple[str, ...]], R]) -> Iterator[Iterator[R]]:

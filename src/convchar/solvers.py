@@ -7,14 +7,31 @@ block mask names the same taxa in every input tree.  Any problem which
 projects down onto convex characters gets an exact solver for free, at
 O(alpha_k^n * poly(n)) worst case.
 
-The one bound is the Fitch floor: a partition into b blocks has parsimony
-score at least b - 1 on every tree, with equality exactly when it is convex
-there.  The objective scan therefore scores the scanned tree as b - 1
-without a Fitch pass, and rejects a character, before or between Fitch
-passes, once its exact scores so far plus b - 1 per tree left reach the
-incumbent.  That drops no answer: such a character scores at least the
+Agreement and objective scans prune the stream as its blocks close (the
+``accept`` hook of ``characters._block_stream``): a rejected block ends
+every character below the last choice point unscored and undrawn.  Taxon
+0's block closes last, so a character whose live list holds another block
+at depth d has at least d + 2 blocks.  The agreement check
+(:func:`_agreeing_blocks`) rejects a block that restricts differently in
+the trees or whose spanning subtree in the second tree meets that of a
+block before it, and, through that block count, one that leaves no
+character with fewer blocks than the incumbent.
+
+The objective's bound is the Fitch floor: a partition into b blocks has
+parsimony score at least b - 1 on every tree, with equality exactly when it
+is convex there.  The objective scan rejects a block once that floor,
+summed over the trees, reaches the incumbent; it scores the scanned tree
+as b - 1 without a Fitch pass, and rejects a character between Fitch
+passes once its exact scores so far plus b - 1 per tree left reach the
+incumbent.
+
+No rejection drops an answer: a rejected character cannot beat the
 incumbent, and ``_scan`` keeps only a strict improvement, so the result,
-ties included, is that of scoring every character in full.
+ties included, is that of scoring every character in full.  A pruned scan
+decides every character, though it draws fewer, so it reports
+``count_convex`` of the scanned tree as scanned.  The quartet scan stops
+at its first hit and reports how many characters it drew, so it is not
+pruned; it scores through the same block check.
 """
 
 from __future__ import annotations
@@ -23,7 +40,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .characters import Character, _block_stream, _convex, _parsimony
+from .characters import Character, _block_stream, _parsimony
+from .counting import count_convex
 from .trees import Tree, _decode, parse_newick
 
 MODES = (
@@ -43,13 +61,13 @@ def _sum_parsimony(
     b - 1 on a tree it is convex on, so on ``scanned`` (the tree whose
     stream it came from) it scores b - 1 with no Fitch pass.  ``total``
     holds the exact scores so far plus that floor for every tree left, a
-    lower bound on the sum, and the partition is rejected as soon as the
-    bound reaches ``best``.
+    lower bound on the sum, and the partition is rejected as soon as a
+    Fitch pass brings the bound to ``best``.  The floor alone is below
+    ``best``: the scan's ``_fitch_floor`` hook rejects the last block of
+    any partition it is not below.
     """
     floor = len(masks) - 1
     total = floor * len(trees)
-    if best is not None and total >= best:
-        return None
     for t in trees:
         if t is not scanned:
             total += _parsimony(t, masks) - floor
@@ -58,8 +76,17 @@ def _sum_parsimony(
     return total
 
 
-OBJECTIVES: dict[str, Callable[[Sequence[int], Sequence[Tree], int | None, Tree], int | None]] = {
-    "sum_parsimony": _sum_parsimony,
+def _fitch_floor(block: int, depth: int, trees: Sequence[Tree]) -> int:
+    """A lower bound of ``_sum_parsimony`` on every character whose live
+    block list holds ``block`` at ``depth``: such a character has at least
+    depth + 1 blocks, one more when the block misses taxon 0, whose block
+    closes last, and b blocks score at least b - 1 on each tree."""
+    return (depth + (not block & 1)) * len(trees)
+
+
+# Each objective with a floor of its value, used to prune the stream.
+OBJECTIVES: dict[str, tuple[Callable, Callable[[int, int, Sequence[Tree]], int]]] = {
+    "sum_parsimony": (_sum_parsimony, _fitch_floor),
 }
 
 
@@ -143,15 +170,52 @@ def _restricted_splits(tree: Tree, block: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def _agree(trees: Sequence[Tree], masks: Sequence[int]) -> bool:
-    """True iff the character is convex on every tree after the first (the
-    scanned one) and each block restricts to the same tree in all of them."""
-    return all(_convex(t, masks) for t in trees[1:]) and all(
-        len({_restricted_splits(t, b) for t in trees}) == 1 for b in masks
-    )
+def _agreeing_blocks(trees: Sequence[Tree]) -> Callable[[int, int], bool]:
+    """Block check of one scan over ``trees[0]``'s stream, for the agreement
+    modes: ``accept(mask, depth)`` is True when the block restricts to the
+    same tree in every tree and its spanning subtree in each other tree is
+    edge-disjoint from those of the live blocks before it, the blocks last
+    accepted at depths 0..depth-1.  A scan's blocks are convex on the
+    scanned tree, so a character whose blocks all pass is convex on every
+    tree and each block restricts alike.
+
+    What a block uses of the other trees is a memo by mask: its internal
+    edges there, one bit per edge, or -1 when its restrictions differ.
+    ``used[d]`` holds the edges of the blocks before depth d, so accepting
+    a block cuts ``used`` back to its depth and no undo log is needed.
+    """
+    first, rest = trees[0], trees[1:]
+    memo: dict[int, int] = {}
+    used = [0]
+
+    def edges(block: int) -> int:
+        splits = _restricted_splits(first, block)
+        if any(_restricted_splits(t, block) != splits for t in rest):
+            return -1
+        out, bit = 0, 1
+        for t in rest:
+            for em in t._internal_edge_masks():
+                x = em & block
+                if x and x != block:
+                    out |= bit
+                bit <<= 1
+        return out
+
+    def accept(block: int, depth: int) -> bool:
+        e = memo.get(block)
+        if e is None:
+            e = memo[block] = edges(block)
+        if e < 0 or e & used[depth]:
+            return False
+        used[depth + 1:] = (used[depth] | e,)
+        return True
+
+    return accept
 
 
-def _scan(tree: Tree, k: int, score: Callable, first_only: bool = False) -> SolveResult:
+def _scan(
+    tree: Tree, k: int, score: Callable, accept: Callable | None = None, first_only: bool = False
+) -> SolveResult:
     """Score every level-k convex character of ``tree`` and keep the first
     one with the lowest value; with ``first_only``, stop at the first
     accepted one.
@@ -160,18 +224,28 @@ def _scan(tree: Tree, k: int, score: Callable, first_only: bool = False) -> Solv
     reuses for the next character, and the incumbent value (None before
     the first hit) and returns the character's value, or None to reject
     it; only a new incumbent's masks are copied.
+
+    ``accept(block, depth, best)`` prunes the stream as its blocks close
+    (see characters._block_stream): it may reject a block only when no
+    character holding the live blocks up to it can beat ``best``.  A
+    pruned scan still decides every character, so it reports
+    ``count_convex(tree, k)`` as scanned; otherwise that is the number of
+    characters drawn.
     """
     start = time.perf_counter()
     best: tuple[int, ...] | None = None
     best_value: int | None = None
     scanned = 0
-    for masks, _, _ in _block_stream(tree, k):
+    hook = None if accept is None else lambda block, depth: accept(block, depth, best_value)
+    for masks, _, _ in _block_stream(tree, k, hook):
         scanned += 1
         value = score(masks, best_value)
         if value is not None and (best_value is None or value < best_value):
             best, best_value = tuple(masks), value
             if first_only:
                 break
+    if accept is not None:
+        scanned = count_convex(tree, k)
     # Disjoint blocks differ in their first label, so sorting the label
     # tuples puts them in canonical order.
     return SolveResult(
@@ -187,19 +261,20 @@ def agreement_forest_min_components(t1: Tree, t2: Tree, k: int = 1) -> SolveResu
     """Agreement forest with fewest components where every component has at
     least k taxa, or none.
 
-    Scans every level-k convex character of t1; a character qualifies when
+    Scans the level-k convex characters of t1; a character qualifies when
     it is also convex on t2 and each block restricts to identical subtrees
-    in both (equal restricted split sets).  The full stream is scanned, so
-    characters_scanned equals the level-k count of t1.
+    in both (equal restricted split sets).  Blocks are checked as they
+    close, together with the block-count bound (module docstring).  Every
+    character is decided, so characters_scanned equals the level-k count
+    of t1.
     """
     _require_same_taxa([t1, t2])
+    agree = _agreeing_blocks((t1, t2))
 
-    def score(masks, best):
-        if (best is None or len(masks) < best) and _agree((t1, t2), masks):
-            return len(masks)
-        return None
+    def accept(block, depth, best):
+        return (best is None or depth + 1 + (not block & 1) < best) and agree(block, depth)
 
-    return _scan(t1, k, score)
+    return _scan(t1, k, lambda masks, best: len(masks), accept)
 
 
 def quartet_exact_partition(trees: Sequence[Tree]) -> SolveResult:
@@ -214,10 +289,11 @@ def quartet_exact_partition(trees: Sequence[Tree]) -> SolveResult:
         raise ValueError("need at least one tree")
     _require_same_taxa(trees)
     n = trees[0].n
+    agree = _agreeing_blocks(trees)
 
     def score(masks, best):
         # Every block holds >= 4 taxa, so all hold exactly 4 iff there are n/4.
-        if 4 * len(masks) == n and _agree(trees, masks):
+        if 4 * len(masks) == n and all(map(agree, masks, range(len(masks)))):
             return len(masks)
         return None
 
@@ -233,21 +309,26 @@ def optimize_objective(
     objective: str = "sum_parsimony",
 ) -> SolveResult:
     """Character of ``tree`` minimizing the named objective over ``trees``;
-    ties go to the first character in stream order.  Scans the full stream.
+    ties go to the first character in stream order.  Every character is
+    decided, pruned by the objective's floor, so characters_scanned equals
+    the level-k count of ``tree``.
 
     With ``sum_parsimony`` and k <= n the answer is always the one-block
     character with value 0: it is the only character that scores 0 on every
     tree (one with b >= 2 blocks scores >= b - 1 on each), and it comes last
     in stream order.
     """
-    fn = OBJECTIVES.get(objective)
-    if fn is None:
+    if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
+    fn, floor = OBJECTIVES[objective]
     trees = tuple(trees)
     if not trees:
         raise ValueError("need at least one tree to score against")
     _require_same_taxa((tree, *trees))
-    return _scan(tree, k, lambda masks, best: fn(masks, trees, best, tree))
+    return _scan(
+        tree, k, lambda masks, best: fn(masks, trees, best, tree),
+        lambda block, depth, best: best is None or floor(block, depth, trees) < best,
+    )
 
 
 def solve(instance: SolveInstance) -> SolveResult:

@@ -369,23 +369,40 @@ class Tree:
 
     def restrict(self, keep: Iterable[str]) -> "Tree":
         """Minimal spanning subtree of ``keep`` with degree-2 vertices
-        suppressed."""
+        suppressed.
+
+        Pruned on the rooting: the edge above a vertex spans kept taxa on
+        both sides exactly when it lies on the subtree, so one bottom-up
+        count of the kept taxa below each vertex finds its edges, and
+        ``_assemble`` gets only the vertices they join.
+        """
         keep_ids = {self.taxon_id(lab) for lab in keep}
         if not keep_ids:
             raise ValueError("subset must be non-empty")
-        n = len(self._labels)
-        if len(keep_ids) == n:
+        n, parent, children = len(self._labels), self._parent, self._children
+        total = len(keep_ids)
+        if total == n:
             return self
-        adj: list = [list(self.neighbors(v)) for v in range(len(self._parent))]
-        drop = [v for v in range(n) if v not in keep_ids]
-        while drop:
-            v = drop.pop()
-            for u in adj[v]:
-                nbs = adj[u]
-                nbs.remove(v)
-                if len(nbs) == 1 and u >= n:
-                    drop.append(u)
-            adj[v] = None
+        below = [0] * len(parent)
+        for v in keep_ids:
+            below[v] = 1
+        for v in range(len(parent) - 1, n - 1, -1):
+            f, g = children[v]
+            below[v] = below[f] + below[g]
+        adj: list = [None] * len(parent)
+        for v in keep_ids:
+            adj[v] = []
+        for v in range(1, len(parent)):
+            if 0 < below[v] < total:
+                p = parent[v]
+                for a, b in ((v, p), (p, v)):
+                    if adj[a] is None:
+                        adj[a] = [b]
+                    else:
+                        adj[a].append(b)
+        for nbs in adj:
+            if nbs:
+                nbs.sort()
         return _assemble(adj, {v: self._labels[v] for v in keep_ids})
 
     def delete(self, drop: Iterable[str]) -> "Tree":

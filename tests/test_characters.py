@@ -17,7 +17,7 @@ from convchar import (
     random_tree,
     stream_encoding,
 )
-from convchar.characters import _convex
+from convchar.bruteforce import _convex
 from convchar.verify import enumeration_consistency
 
 

@@ -14,7 +14,8 @@ from convchar import (
     random_tree,
 )
 from convchar import solvers
-from convchar.characters import _convex, _parsimony
+from convchar.bruteforce import _convex
+from convchar.characters import _parsimony
 
 
 def old_parsimony(tree, masks):

@@ -21,7 +21,10 @@ from convchar import (
     random_tree,
     solve,
 )
+from convchar.bruteforce import _convex
+from convchar.characters import _block_stream, _parsimony
 from convchar.solvers import _restricted_splits
+from convchar.trees import _decode
 
 
 def swap_labels(tree, a, b):
@@ -218,3 +221,101 @@ class TestSolveInstance:
                     mode="agreement_forest_min_components",
                 )
             )
+
+
+# The scans as they were before the stream was pruned, kept as the judge of
+# the pruned ones: every character drawn, and each scored in full.
+
+def _agree(trees, masks):
+    """True iff the character is convex on every tree after the first (the
+    scanned one) and each block restricts to the same tree in all of them."""
+    return all(_convex(t, masks) for t in trees[1:]) and all(
+        len({_restricted_splits(t, b) for t in trees}) == 1 for b in masks
+    )
+
+
+def reference_scan(tree, k, score, first_only=False):
+    """(character, objective_value, characters_scanned) of the first
+    character with the lowest score, every character drawn until then."""
+    best = best_value = None
+    scanned = 0
+    for masks, _, _ in _block_stream(tree, k):
+        scanned += 1
+        value = score(masks, best_value)
+        if value is not None and (best_value is None or value < best_value):
+            best, best_value = tuple(masks), value
+            if first_only:
+                break
+    character = None if best is None else Character._canonical(
+        tuple(sorted(_decode(tree.labels, bm) for bm in best)))
+    return character, best_value, scanned
+
+
+def reference_agreement(t1, t2, k):
+    def score(masks, best):
+        if (best is None or len(masks) < best) and _agree((t1, t2), masks):
+            return len(masks)
+        return None
+
+    return reference_scan(t1, k, score)
+
+
+def reference_quartets(trees):
+    n = trees[0].n
+
+    def score(masks, best):
+        if 4 * len(masks) == n and _agree(trees, masks):
+            return len(masks)
+        return None
+
+    return reference_scan(trees[0], 4 if n % 4 == 0 else n + 1, score, first_only=True)
+
+
+def reference_objective(tree, trees, k):
+    return reference_scan(tree, k, lambda masks, best: sum(_parsimony(t, masks) for t in trees))
+
+
+def outcome(result):
+    return result.character, result.objective_value, result.characters_scanned
+
+
+@st.composite
+def tree_pairs(draw, sizes=st.integers(3, 12), loaded=False):
+    """Two trees on one taxon set: independent random trees, or one tree and
+    the same shape with two taxa swapped.  With ``loaded``, the first tree
+    may be fully loaded at 5, so it has pendant quartets."""
+    n = draw(sizes)
+    if loaded and n >= 5 and draw(st.booleans()):
+        t1 = fully_loaded(n, 5)
+    else:
+        t1 = random_tree(n, seed=draw(st.integers(0, 10 ** 6)))
+    if draw(st.booleans()):
+        return t1, random_tree(n, seed=draw(st.integers(0, 10 ** 6)))
+    a, b = draw(st.lists(st.sampled_from(t1.labels), min_size=2, max_size=2, unique=True))
+    return t1, swap_labels(t1, a, b)
+
+
+class TestPrunedScans:
+    """Agreement and objective scans prune the stream as blocks close, and
+    quartets score through the same block check: each answers as the
+    unpruned scan does, characters_scanned included."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(pair=tree_pairs(), k=st.integers(1, 3))
+    def test_agreement_matches_reference(self, pair, k):
+        t1, t2 = pair
+        assert outcome(agreement_forest_min_components(t1, t2, k)) == reference_agreement(t1, t2, k)
+
+    @settings(max_examples=25, deadline=None)
+    @given(pair=tree_pairs(), k=st.integers(1, 3))
+    def test_objective_matches_reference(self, pair, k):
+        t1, t2 = pair
+        for trees in ((t1, t2), (t2,), (t2, t1, t2)):
+            assert outcome(optimize_objective(t1, trees, k)) == reference_objective(t1, trees, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(pair=tree_pairs(st.sampled_from((4, 8, 12, 16)), loaded=True))
+    def test_quartets_match_reference(self, pair):
+        t1, t2 = pair
+        for trees in ((t1, t2), (t1, t1), (t1,)):
+            assert outcome(quartet_exact_partition(trees)) == reference_quartets(trees)
