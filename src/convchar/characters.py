@@ -202,23 +202,6 @@ class _Rejected(Exception):
     """A block failed the block stream's ``accept`` hook."""
 
 
-def _checking(blocks: list[int], accept: Callable[[int, int], bool]) -> tuple[Callable, Callable]:
-    """``append`` and ``extend`` for the live list ``blocks`` that pass each
-    block and its depth in the list to ``accept`` first, and raise
-    _Rejected, without appending it, at the first block it rejects."""
-
-    def append(block: int) -> None:
-        if not accept(block, len(blocks)):
-            raise _Rejected
-        blocks.append(block)
-
-    def extend(new: Iterable[int]) -> None:
-        for block in new:
-            append(block)
-
-    return append, extend
-
-
 def _block_stream(
     tree: Tree, k: int, accept: Callable[[int, int], bool] | None = None
 ) -> Iterator[tuple[list[int], list[int], list[int]]]:
@@ -350,10 +333,15 @@ def _block_stream(
     # visit to find a filled cell ends its character with the previous
     # character's last ``ends[g][0] - seen[g]`` blocks.  A forced subtree
     # pushes no choice point, so splicing it in keeps these records valid.
-    # A rejected walk restarts at a choice point as a character does, but
-    # fills no cell, and its blocks, a splice's included, are checked
-    # before ``tail`` is cut: after a rejection ``tail`` still ends with
-    # the last yielded character's blocks, and a splice brings those back.
+    #
+    # A walk ends in a character or a rejection, and either way the next
+    # walk restarts at the last choice point.  ``blocks[:kept] + tail`` is
+    # always the last character yielded: a yield sets ``kept`` to its
+    # length and empties ``tail``, a restart below ``kept`` moves the
+    # blocks between into ``tail``, and a splice checks the blocks it
+    # takes from ``tail`` before it cuts them, then yields.  A rejected
+    # walk fills no cell, so after it the records, and ``tail``, still
+    # describe the last character yielded.
     v, S, i, cont, opened = len(children) - 1, 1, 0, None, None
     blocks: list[int] = []
     choices: list = []
@@ -363,8 +351,15 @@ def _block_stream(
     kept, tail, spliced, end = 0, [], 0, [None]
     append, extend = blocks.append, blocks.extend
     if accept is not None:
-        append, extend = _checking(blocks, accept)
-    while True:  # walks until one is rejected, then from the last choice point
+        def append(block: int) -> None:
+            if not accept(block, len(blocks)):
+                raise _Rejected
+            blocks.append(block)
+
+        def extend(new: Iterable[int]) -> None:
+            for block in new:
+                append(block)
+    while True:  # one walk per character or rejection, from the last choice point
         try:
             while True:
                 while v >= n:  # descend along option i, then first options
@@ -408,30 +403,25 @@ def _block_stream(
                     del tail[len(tail) - spliced:]
                     cont = None
                     break
-                if cont is not None:  # f is done: descend into g
-                    (start, (v, g_allowed, S_u)), cont = cont
-                    cont = ((start, state, S_u, v), cont)
-                    S = g_allowed[state]
-                    ends[v], i = None, 0
-                    continue
-                end[0] = len(blocks)
-                yield blocks, tail, blocks[kept:len(blocks) - spliced]
-                if not choices:
-                    return
-                v, S, i, cont, opened, kept = choices.pop()
-                tail = blocks[kept:]
-                del blocks[kept:]
-                spliced, end = 0, [None]
+                if cont is None:
+                    break
+                (start, (v, g_allowed, S_u)), cont = cont  # f is done: descend into g
+                cont = ((start, state, S_u, v), cont)
+                S = g_allowed[state]
+                ends[v], i = None, 0
+            end[0] = len(blocks)
+            yield blocks, tail, blocks[kept:len(blocks) - spliced]
+            kept, tail = len(blocks), []
         except _Rejected:
-            # Every character below the last choice point holds the block.
-            if not choices:
-                return
-            v, S, i, cont, opened, top = choices.pop()
-            if top < kept:  # blocks[:kept] are still the last character's
-                tail[:0] = blocks[top:kept]
-                kept = top
-            del blocks[top:]
-            spliced, end = 0, [None]
+            pass  # every character below the last choice point holds the block
+        if not choices:
+            return
+        v, S, i, cont, opened, top = choices.pop()
+        if top < kept:
+            tail = blocks[top:kept] + tail
+            kept = top
+        del blocks[top:]
+        spliced, end = 0, [None]
 
 
 def _rendered(tree: Tree, k: int, render: Callable[[tuple[str, ...]], R]) -> Iterator[Iterator[R]]:

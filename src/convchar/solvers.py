@@ -9,21 +9,20 @@ O(alpha_k^n * poly(n)) worst case.
 
 Agreement and objective scans prune the stream as its blocks close (the
 ``accept`` hook of ``characters._block_stream``): a rejected block ends
-every character below the last choice point unscored and undrawn.  Taxon
-0's block closes last, so a character whose live list holds another block
-at depth d has at least d + 2 blocks.  The agreement check
-(:func:`_agreeing_blocks`) rejects a block that restricts differently in
-the trees or whose spanning subtree in the second tree meets that of a
-block before it, and, through that block count, one that leaves no
-character with fewer blocks than the incumbent.
+every character below the last choice point unscored and undrawn.  Each
+mode hands :func:`_scan` a ``floor(b)``, a lower bound on the value of
+every character with at least b blocks, and only ``_scan`` counts blocks:
+taxon 0's block closes last, so a block at depth d means at least d + 1
+blocks, one more when it misses taxon 0.  Agreement's value is its block
+count, so its floor is b; its block check (:func:`_agreeing_blocks`) also
+rejects a block that restricts differently in the trees or whose spanning
+subtree in the second tree meets that of a block before it.
 
-The objective's bound is the Fitch floor: a partition into b blocks has
-parsimony score at least b - 1 on every tree, with equality exactly when it
-is convex there.  The objective scan rejects a block once that floor,
-summed over the trees, reaches the incumbent; it scores the scanned tree
-as b - 1 without a Fitch pass, and rejects a character between Fitch
-passes once its exact scores so far plus b - 1 per tree left reach the
-incumbent.
+The objective's floor is the Fitch floor, b - 1 per tree: b blocks score
+at least b - 1 on every tree, with equality exactly when the partition is
+convex there.  The objective scores the scanned tree as b - 1 without a
+Fitch pass, and rejects a character between Fitch passes once its exact
+scores so far plus b - 1 per tree left reach the incumbent.
 
 No rejection drops an answer: a rejected character cannot beat the
 incumbent, and ``_scan`` keeps only a strict improvement, so the result,
@@ -49,6 +48,7 @@ MODES = (
     "quartet_exact_partition",
     "objective_optimize",
 )
+OBJECTIVES = ("sum_parsimony",)
 
 
 def _sum_parsimony(
@@ -63,8 +63,8 @@ def _sum_parsimony(
     holds the exact scores so far plus that floor for every tree left, a
     lower bound on the sum, and the partition is rejected as soon as a
     Fitch pass brings the bound to ``best``.  The floor alone is below
-    ``best``: the scan's ``_fitch_floor`` hook rejects the last block of
-    any partition it is not below.
+    ``best``: the scan rejects the last block of any partition it is not
+    below.
     """
     floor = len(masks) - 1
     total = floor * len(trees)
@@ -74,20 +74,6 @@ def _sum_parsimony(
             if best is not None and total >= best:
                 return None
     return total
-
-
-def _fitch_floor(block: int, depth: int, trees: Sequence[Tree]) -> int:
-    """A lower bound of ``_sum_parsimony`` on every character whose live
-    block list holds ``block`` at ``depth``: such a character has at least
-    depth + 1 blocks, one more when the block misses taxon 0, whose block
-    closes last, and b blocks score at least b - 1 on each tree."""
-    return (depth + (not block & 1)) * len(trees)
-
-
-# Each objective with a floor of its value, used to prune the stream.
-OBJECTIVES: dict[str, tuple[Callable, Callable[[int, int, Sequence[Tree]], int]]] = {
-    "sum_parsimony": (_sum_parsimony, _fitch_floor),
-}
 
 
 def _require_same_taxa(trees: Sequence[Tree]) -> None:
@@ -110,6 +96,8 @@ class SolveInstance:
             raise ValueError("instance needs at least one tree")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.objective not in OBJECTIVES:
+            raise ValueError(f"unknown objective {self.objective!r}")
         _require_same_taxa(self.trees)
 
     @classmethod
@@ -172,7 +160,7 @@ def _restricted_splits(tree: Tree, block: int) -> frozenset[int]:
 
 def _agreeing_blocks(trees: Sequence[Tree]) -> Callable[[int, int], bool]:
     """Block check of one scan over ``trees[0]``'s stream, for the agreement
-    modes: ``accept(mask, depth)`` is True when the block restricts to the
+    modes: ``check(block, depth)`` is True when the block restricts to the
     same tree in every tree and its spanning subtree in each other tree is
     edge-disjoint from those of the live blocks before it, the blocks last
     accepted at depths 0..depth-1.  A scan's blocks are convex on the
@@ -201,7 +189,7 @@ def _agreeing_blocks(trees: Sequence[Tree]) -> Callable[[int, int], bool]:
                 bit <<= 1
         return out
 
-    def accept(block: int, depth: int) -> bool:
+    def check(block: int, depth: int) -> bool:
         e = memo.get(block)
         if e is None:
             e = memo[block] = edges(block)
@@ -210,11 +198,12 @@ def _agreeing_blocks(trees: Sequence[Tree]) -> Callable[[int, int], bool]:
         used[depth + 1:] = (used[depth] | e,)
         return True
 
-    return accept
+    return check
 
 
 def _scan(
-    tree: Tree, k: int, score: Callable, accept: Callable | None = None, first_only: bool = False
+    tree: Tree, k: int, score: Callable, floor: Callable[[int], int] | None = None,
+    check: Callable[[int, int], bool] | None = None, first_only: bool = False,
 ) -> SolveResult:
     """Score every level-k convex character of ``tree`` and keep the first
     one with the lowest value; with ``first_only``, stop at the first
@@ -225,10 +214,13 @@ def _scan(
     the first hit) and returns the character's value, or None to reject
     it; only a new incumbent's masks are copied.
 
-    ``accept(block, depth, best)`` prunes the stream as its blocks close
-    (see characters._block_stream): it may reject a block only when no
-    character holding the live blocks up to it can beat ``best``.  A
-    pruned scan still decides every character, so it reports
+    With ``floor(b)``, a lower bound on the value of every character with
+    at least b blocks, the scan prunes the stream as its blocks close (see
+    characters._block_stream).  Taxon 0's block closes last, so a block
+    at depth d means at least d + 1 blocks, one more when it misses taxon
+    0; the block is rejected once the floor of that count reaches the
+    incumbent, and otherwise goes on to ``check(block, depth)``, if given.
+    A pruned scan still decides every character, so it reports
     ``count_convex(tree, k)`` as scanned; otherwise that is the number of
     characters drawn.
     """
@@ -236,15 +228,20 @@ def _scan(
     best: tuple[int, ...] | None = None
     best_value: int | None = None
     scanned = 0
-    hook = None if accept is None else lambda block, depth: accept(block, depth, best_value)
-    for masks, _, _ in _block_stream(tree, k, hook):
+
+    def accept(block: int, depth: int) -> bool:
+        if best_value is not None and floor(depth + 1 + (not block & 1)) >= best_value:
+            return False
+        return check is None or check(block, depth)
+
+    for masks, _, _ in _block_stream(tree, k, None if floor is None else accept):
         scanned += 1
         value = score(masks, best_value)
         if value is not None and (best_value is None or value < best_value):
             best, best_value = tuple(masks), value
             if first_only:
                 break
-    if accept is not None:
+    if floor is not None:
         scanned = count_convex(tree, k)
     # Disjoint blocks differ in their first label, so sorting the label
     # tuples puts them in canonical order.
@@ -264,17 +261,12 @@ def agreement_forest_min_components(t1: Tree, t2: Tree, k: int = 1) -> SolveResu
     Scans the level-k convex characters of t1; a character qualifies when
     it is also convex on t2 and each block restricts to identical subtrees
     in both (equal restricted split sets).  Blocks are checked as they
-    close, together with the block-count bound (module docstring).  Every
-    character is decided, so characters_scanned equals the level-k count
-    of t1.
+    close, and a character's value is its block count, which is its own
+    floor.  Every character is decided, so characters_scanned equals the
+    level-k count of t1.
     """
     _require_same_taxa([t1, t2])
-    agree = _agreeing_blocks((t1, t2))
-
-    def accept(block, depth, best):
-        return (best is None or depth + 1 + (not block & 1) < best) and agree(block, depth)
-
-    return _scan(t1, k, lambda masks, best: len(masks), accept)
+    return _scan(t1, k, lambda masks, best: len(masks), lambda b: b, _agreeing_blocks((t1, t2)))
 
 
 def quartet_exact_partition(trees: Sequence[Tree]) -> SolveResult:
@@ -320,14 +312,13 @@ def optimize_objective(
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
-    fn, floor = OBJECTIVES[objective]
     trees = tuple(trees)
     if not trees:
         raise ValueError("need at least one tree to score against")
     _require_same_taxa((tree, *trees))
     return _scan(
-        tree, k, lambda masks, best: fn(masks, trees, best, tree),
-        lambda block, depth, best: best is None or floor(block, depth, trees) < best,
+        tree, k, lambda masks, best: _sum_parsimony(masks, trees, best, tree),
+        lambda b: (b - 1) * len(trees),
     )
 
 

@@ -232,6 +232,8 @@ class TestCli:
             {**base, "k": None},
             {**base, "k": [2]},
             {**base, "objective": ["sum_parsimony"]},
+            {"trees": ["((a,b),c);"] * 2, "mode": "agreement_forest_min_components",
+             "objective": "bogus"},
         ):
             inst.write_text(json.dumps(data))
             assert main(["solve", str(inst)]) == 1, data

@@ -211,6 +211,11 @@ class TestSolveInstance:
             SolveInstance.from_json_dict(
                 {"trees": ["((a,b),c);", "((x,y),z);"], "mode": "quartet_exact_partition"}
             )
+        for mode in ("agreement_forest_min_components", "quartet_exact_partition"):
+            with pytest.raises(ValueError, match="unknown objective"):
+                SolveInstance.from_json_dict(
+                    {"trees": ["((a,b),c);"] * 2, "mode": mode, "objective": "bogus"}
+                )
 
     def test_agreement_needs_two_trees(self):
         with pytest.raises(ValueError):

@@ -125,7 +125,10 @@ def assert_same_stream(tree, k, cap=CAP, rejects=None):
     With ``rejects(block, depth)``, the stream's hook rejects those blocks
     and the oracle loses every character that holds one.  The hook also
     keeps the blocks it accepted per depth, which must be the live list
-    at every character: it sees each live list grow in order."""
+    at every character: it sees each live list grow in order.
+
+    Exactly one live block holds taxon 0, and it is the last: the solvers'
+    block-count bound rests on this."""
     want_stream = oracle_stream(tree, k)
     accept = None
     if rejects is not None:
@@ -148,6 +151,7 @@ def assert_same_stream(tree, k, cap=CAP, rejects=None):
         assert want is not None and got is not None, index
         live, dropped, added = got
         assert sorted(live) == sorted(want), index
+        assert [block & 1 for block in live] == [0] * (len(live) - 1) + [1], index
         if rejects is not None:
             assert live == list(want) == accepted, index
         dropped, added = Counter(dropped), Counter(added)
