@@ -2,10 +2,11 @@
 
 Generators build Newick text for the parser or, as ``random_tree`` and
 ``all_topologies`` do, an edge list for ``trees._assemble``, which the
-parser also ends in, so every produced tree goes through the same
-validation and numbering as user input.  The random model is sequential
-uniform edge attachment, which yields the uniform distribution over
-labelled binary topologies.
+parser also ends in, so every produced tree gets the same numbering as
+user input.  Labels are checked where they enter: a label list handed to
+a generator, and the taxa of a ``FullyLoadedSpec``, must hold distinct
+valid labels.  The random model is sequential uniform edge attachment,
+which yields the uniform distribution over labelled binary topologies.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import string
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .trees import Split, Tree, Tripartition, _assemble, parse_newick
+from .trees import Split, Tree, Tripartition, _assemble, _check_label, parse_newick
 
 
 def default_labels(n: int) -> list[str]:
@@ -30,9 +31,15 @@ def default_labels(n: int) -> list[str]:
 
 
 def _unique_labels(n: int, labels: Sequence[str] | None) -> list[str]:
-    labs = list(labels) if labels is not None else default_labels(n)
+    if labels is None:
+        return default_labels(n)
+    if n < 1:
+        raise ValueError("n must be positive")
+    labs = list(labels)
     if len(labs) != n:
         raise ValueError(f"need {n} labels, got {len(labs)}")
+    for lab in labs:
+        _check_label(lab)
     if len(set(labs)) != n:
         raise ValueError("labels must be distinct")
     return labs
@@ -153,6 +160,8 @@ class FullyLoadedSpec:
             raise ValueError(f"scaffold must have ceil(n/(k-1)) = {m} leaves")
         all_taxa: list[str] = []
         for leaf, taxa in part_map.items():
+            for taxon in taxa:
+                _check_label(taxon)
             all_taxa.extend(taxa)
             want = self.residue_size if leaf == self.residue_leaf else self.k - 1
             if len(taxa) != want:

@@ -12,6 +12,12 @@ the internal vertices by descending id is therefore bottom-up, and the
 taxa 1..n-1, then the internal vertices by descending id, then taxon 0
 visit every vertex after all of its children.
 
+Outside input is checked where it enters: ``parse_newick`` rejects
+malformed text, duplicate labels and non-binary trees (its tokens admit
+only valid labels), and the generators check the label lists they are
+given.  ``_assemble``, which every tree is built by, trusts its callers
+and only suppresses degree-2 vertices, numbers and roots.
+
 Taxon subsets are manipulated as Python int bitmasks, bit i == taxon i.
 Trees are immutable; every "modifying" operation returns a new tree, so
 instances can be shared freely across threads and used as cache keys
@@ -91,56 +97,34 @@ def _check_label(label: str) -> None:
 
 
 def _assemble(adj: list[list[int] | None], leaf_labels: dict[int, str]) -> "Tree":
-    """Validate and normalize a raw adjacency into a Tree.
+    """Number and root a tree given as a raw adjacency.
 
-    ``adj[v]`` lists the neighbours of vertex ``v`` in ascending order, or
-    is None for a vertex that is gone; ``leaf_labels`` maps the labelled
-    vertices.  Unlabelled vertices of degree 2 (the root of a rooted
-    representation) are suppressed in place, so ``adj`` is consumed.
-    Leaves are renumbered by sorted label, internal vertices in
+    Trusts its caller: ``adj`` is a tree in which ``adj[v]`` lists the
+    neighbours of vertex ``v`` in ascending order, or is None for a vertex
+    that is gone; ``leaf_labels`` maps each leaf (or the lone vertex of a
+    one-taxon tree) to a valid label, no two alike; every other vertex has
+    degree 3, or 2 where it is to be suppressed (the root of a rooted
+    representation, a vertex a restriction passes through).  Those are
+    suppressed in place, so ``adj`` is consumed.  Leaves are renumbered by sorted label, internal vertices in
     breadth-first discovery order from the smallest label, neighbours
     visited in ascending order.  The same pass roots the tree at taxon 0.
     """
-    n = len(leaf_labels)
-    if n == 0:
-        raise TreeError("tree has no taxa")
     labels = sorted(leaf_labels.values())
-    for lab in labels:
-        _check_label(lab)
-    if len(set(labels)) != n:
-        dup = next(labels[i] for i in range(1, n) if labels[i] == labels[i - 1])
-        raise TreeError(f"duplicate taxon label {dup!r}")
-
-    V = len(adj)
-    if any(v >= V or adj[v] is None for v in leaf_labels):
-        raise TreeError("labelled vertex missing from adjacency")
-    vertices = V - adj.count(None)
+    n = len(labels)
     if n == 1:
-        (v,) = leaf_labels
-        if vertices != 1 or adj[v]:
-            raise TreeError("single-taxon tree must be a lone vertex")
         return Tree((labels[0],), (-1,), ((),))
-
-    # A sound leaf reads 0, a sound internal vertex 3 (or 2: suppressed).
-    degree = [-1 if nbs is None else len(nbs) for nbs in adj]
-    for v in leaf_labels:
-        degree[v] -= 1
-    if degree.count(0) != n or degree.count(3) + degree.count(2) != vertices - n:
-        _degree_error(adj, leaf_labels)
-    if sum(degree) + n + V - vertices != 2 * (vertices - 1):
-        raise TreeError("graph is not a tree")
-    for v in [v for v, d in enumerate(degree) if d == 2]:
+    for v in [v for v, nbs in enumerate(adj) if nbs is not None and len(nbs) == 2]:
         a, b = adj[v]
         for x, y in ((a, b), (b, a)):
             xs = adj[x]
             xs[xs.index(v)] = y
             xs.sort()
         adj[v] = None
-        vertices -= 1
 
     # Renumber: leaves by sorted label, internals in BFS discovery order.
     # A vertex's children in the rooting at taxon 0 are the vertices first
     # discovered from it.
+    V, vertices = len(adj), 2 * n - 2
     new_id = [-1] * V
     rank = {lab: i for i, lab in enumerate(labels)}
     for v, lab in leaf_labels.items():
@@ -163,8 +147,6 @@ def _assemble(adj: list[list[int] | None], leaf_labels: dict[int, str]) -> "Tree
             parent[new_id[u]] = pv
         order += kids
         children[pv] = tuple([new_id[u] for u in kids])
-    if len(order) != vertices:
-        raise TreeError("graph is not connected")
 
     # Bottom-up by descending id: children ordered by smallest taxon below.
     low = list(range(vertices))
@@ -174,26 +156,6 @@ def _assemble(adj: list[list[int] | None], leaf_labels: dict[int, str]) -> "Tree
             children[v] = f, g = g, f
         low[v] = low[f]
     return Tree(tuple(labels), tuple(parent), tuple(children))
-
-
-def _degree_error(adj: list[list[int] | None], leaf_labels: dict[int, str]):
-    """Raise for the vertex of wrong degree nearest the last vertex (a
-    parsed tree's root), breadth first, as the text reads from its root."""
-    def wrong(v: int) -> bool:
-        d = len(adj[v])
-        return d != 1 if v in leaf_labels else d not in (2, 3)
-
-    start = max(v for v, nbs in enumerate(adj) if nbs is not None)
-    order, seen = [start], {start}
-    for v in order:
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                order.append(u)
-    order += [v for v, nbs in enumerate(adj) if nbs is not None and v not in seen]
-    v = next(v for v in order if wrong(v))
-    kind, want = ("leaf", 1) if v in leaf_labels else ("internal vertex", 3)
-    raise TreeError(f"{kind} has degree {len(adj[v])}, expected {want}")
 
 
 class Tree:
@@ -494,7 +456,7 @@ def parse_newick(text: str) -> Tree:
 
     Branch lengths and internal labels are parsed and discarded.  A rooted
     representation (root of degree 2) is unrooted by suppressing the root;
-    any other internal degree is rejected.
+    any other internal degree is rejected, after duplicate labels are.
     """
     s = text.strip()
     if not s:
@@ -568,12 +530,23 @@ def parse_newick(text: str) -> Tree:
     if len(stack[0]) != 1:
         raise NewickError("expected a single tree")
 
-    try:
-        return _assemble(adj, leaf_labels)
-    except TreeError as exc:
-        if "degree" in str(exc):
-            raise TreeError(f"input tree is not binary: {exc}") from None
-        raise
+    if len(set(leaf_labels.values())) != len(leaf_labels):
+        labels = sorted(leaf_labels.values())
+        dup = next(b for a, b in zip(labels, labels[1:]) if a == b)
+        raise TreeError(f"duplicate taxon label {dup!r}")
+    # A leaf has degree 1 and a group one more than its children, save the
+    # root, so a vertex of degree above 3 is exactly a non-binary one.
+    # Report the first met breadth first from the root, the last node to
+    # close; a node's children are its neighbours with smaller ids.
+    if max(map(len, adj)) > 3:
+        order = [len(adj) - 1]
+        for v in order:
+            order += [u for u in adj[v] if u < v]
+        d = next(len(adj[v]) for v in order if len(adj[v]) > 3)
+        raise TreeError(
+            f"input tree is not binary: internal vertex has degree {d}, expected 3"
+        )
+    return _assemble(adj, leaf_labels)
 
 
 def write_newick(tree: Tree) -> str:

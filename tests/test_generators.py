@@ -21,6 +21,7 @@ from convchar import (
     parse_newick,
     random_tree,
     replace_pendant_fully_loaded,
+    TreeError,
 )
 from convchar.verify import linearize_monotone, pendant_replacement_monotone
 
@@ -45,6 +46,17 @@ class TestCaterpillar:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):
             caterpillar(3, ["x", "x", "y"])
+
+    @pytest.mark.parametrize("bad", ["a,b", "a b", "(a)", "a;", "x:1", ""])
+    def test_invalid_labels_rejected(self, bad):
+        with pytest.raises(TreeError, match="taxon label"):
+            caterpillar(3, [bad, "c", "d"])
+
+    def test_empty_label_lists_rejected(self):
+        with pytest.raises(ValueError, match="n must be positive"):
+            caterpillar(0, [])
+        with pytest.raises(ValueError, match="n must be positive"):
+            list(all_topologies([]))
 
     def test_realizes_maximum(self):
         for k in (3, 4):
@@ -92,6 +104,28 @@ class TestFullyLoaded:
             fully_loaded(3, 4)
         with pytest.raises(ValueError):
             fully_loaded(7, 1)
+
+    def test_invalid_part_taxon_rejected(self):
+        with pytest.raises(TreeError, match="invalid taxon label 'x,y'"):
+            fully_loaded(2, 2, spec=FullyLoadedSpec(
+                n=2,
+                k=2,
+                scaffold=caterpillar(2, ["a", "c"]),
+                residue_leaf=None,
+                residue_size=0,
+                parts=(("a", ("x,y",)), ("c", ("c",))),
+            ))
+
+    def test_invalid_labels_rejected_by_every_generator(self):
+        bad = ["a", "b", "c(d)"]
+        with pytest.raises(TreeError, match="invalid taxon label"):
+            random_tree(3, labels=bad)
+        with pytest.raises(TreeError, match="invalid taxon label"):
+            next(all_topologies(bad))
+        with pytest.raises(TreeError, match="invalid taxon label"):
+            fully_loaded(3, 2, labels=bad)
+        with pytest.raises(TreeError, match="non-empty strings"):
+            random_tree(3, labels=["a", "b", 3])
 
     def test_randomized_specs_all_agree(self):
         rng = random.Random(7)

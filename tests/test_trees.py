@@ -417,3 +417,85 @@ class TestRooting:
                 for v, nb in enumerate(nbs)
             ), t
         assert parse_newick("a;").neighbors(0) == ()
+
+
+@st.composite
+def newick_texts(draw):
+    """Nested groups of arity 1-4 with optional internal labels and branch
+    lengths, malformed ones in a quarter of the texts.  Leaves take fresh
+    labels from a shuffled pool of 18 and now and then an earlier one, so
+    duplicates occur.  Hypothesis favours small draws, so the rarer
+    choices (a leaf, a malformed text, a reused label) take the top value.
+    """
+    lengths = ["", "", ":1", ": -0.5", ":2e-3"]
+    inner = ["", "", "n1", "90"]
+    if draw(st.integers(0, 3)) == 3:
+        lengths += [":", ":x", "::1"]
+        inner += ["x y", "("]
+    lengths, inner = st.sampled_from(lengths), st.sampled_from(inner)
+    pool = draw(st.permutations([*"abcdefghijklmnop", "t1", "é"]))
+    used: list[str] = []
+    arity = st.sampled_from([1, 2, 2, 2, 2, 3, 4])
+
+    def node(depth: int) -> str:
+        if depth == 0 or draw(st.integers(0, 3)) == 3:
+            if used and draw(st.integers(0, 7)) == 7:
+                text = draw(st.sampled_from(used))
+            else:
+                text = pool[len(used) % len(pool)]
+                used.append(text)
+        else:
+            kids = [node(depth - 1) for _ in range(draw(arity))]
+            text = "(" + ",".join(kids) + ")" + draw(inner)
+        return text + draw(lengths)
+
+    return node(draw(st.sampled_from([3, 2, 4, 1]))) + ";"
+
+
+def assert_tree_invariants(t: Tree) -> None:
+    """The Tree invariants of the trees module docstring."""
+    n, V = t.n, t.num_vertices()
+    parent, children = t._parent, t._children
+    assert list(t.labels) == sorted(set(t.labels))
+    assert V == (1 if n == 1 else 2 * n - 2)
+    assert parse_newick(t.canonical_newick()) == t
+    if n == 1:
+        return
+    (c0,) = children[0]
+    assert parent[0] == -1 and parent[c0] == 0
+    assert all(children[v] == () for v in range(1, n))
+    assert all(parent[c] == v for v in range(V) for c in children[v])
+    assert all(len(children[v]) == 2 for v in range(n, V))
+    assert all(parent[v] < v for v in range(n, V) if v != c0)
+    low = list(range(V))
+    for v in range(V - 1, n - 1, -1):
+        f, g = children[v]
+        assert low[f] < low[g]
+        low[v] = low[f]
+
+
+class TestIngest:
+    """Input is checked where it enters: every text either parses to a tree
+    meeting the Tree invariants or raises TreeError, and restrictions of
+    such trees meet the invariants too."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=newick_texts(), data=st.data())
+    def test_parse_is_a_valid_tree_or_tree_error(self, text, data):
+        try:
+            t = parse_newick(text)
+        except TreeError:
+            return
+        assert_tree_invariants(t)
+        keep = data.draw(st.sets(st.sampled_from(t.labels), min_size=1))
+        r = t.restrict(keep)
+        assert r.labels == tuple(sorted(keep))
+        assert_tree_invariants(r)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6), n=st.integers(3, 30), data=st.data())
+    def test_restrict_random_subsets(self, seed, n, data):
+        t = random_tree(n, seed=seed)
+        assert_tree_invariants(t)
+        keep = data.draw(st.sets(st.sampled_from(t.labels), min_size=1))
+        assert_tree_invariants(t.restrict(keep))
