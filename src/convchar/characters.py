@@ -22,9 +22,13 @@ not the depth of the tree.  A subtree that the allowed state of its edge
 leaves with exactly one completion (the DP's count is 1) is walked at most
 twice per stream, the second time to record its blocks, and from then on
 spliced in whole, like a leaf.  A solver may prune the stream with an
-``accept`` hook that sees each block as it joins a character: a rejected
-block ends every character below the last choice point, none of them
-drawn.  Listing passes no hook and pays nothing for it.  ``trees._decode``
+``accept`` hook that sees each block as it joins a character, and with a
+block limit: a rejected block ends every character below the last choice
+point, none of them drawn, and the limit also cuts a branch at its choice
+point, before the walk enters it, once the blocks closed so far and the
+counting DP's fewest blocks below the branch and its pending steps
+(``counting._least_blocks``) reach it.  Listing passes neither and pays
+one test per walk and per choice point for them.  ``trees._decode``
 is the one way back to labels: ``_rendered`` renders only the blocks a
 character adds, into one slot per smallest taxon id, for
 ``enumerate_convex`` and the CLI's ``list``, and a solver decodes its
@@ -38,7 +42,7 @@ from functools import cache
 from itertools import compress
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .counting import _dp_tables, _joined_children, _partners
+from .counting import _dp_tables, _joined_children, _least_blocks, _partners
 from .trees import Tree, _decode
 
 R = TypeVar("R")
@@ -199,11 +203,16 @@ def parsimony_score(tree: Tree, f) -> int:
 
 
 class _Rejected(Exception):
-    """A block failed the block stream's ``accept`` hook."""
+    """A block failed the block stream's ``accept`` hook or block limit."""
+
+
+def _anything(block: int, depth: int) -> bool:
+    return True
 
 
 def _block_stream(
-    tree: Tree, k: int, accept: Callable[[int, int], bool] | None = None
+    tree: Tree, k: int, accept: Callable[[int, int], bool] | None = None,
+    limit: list[int] | None = None,
 ) -> Iterator[tuple[list[int], list[int], list[int]]]:
     """Every convex character of ``tree`` with min block size >= k, in
     stream order (see enumerate_convex), as ``(live, dropped, added)``: the
@@ -241,14 +250,31 @@ def _block_stream(
     which hold the block: the stream pops to that point without yielding,
     and ``dropped`` and ``added`` stay relative to the last character it
     yielded.  Without a hook the live list's own methods append.
+
+    ``limit``, a one-item list, holds the least block count that no
+    character may reach, n + 1 when it is not given (no limit); the caller
+    may lower it between characters, and a limit alone brings a hook that
+    accepts every block.  Below n + 1 it prunes in two places.  A block
+    is rejected as it joins the live list when its index d already means
+    the limit: taxon 0's block closes last, so there are at least d + 1
+    blocks, d + 2 when the block misses taxon 0.  And an option is
+    rejected before the walk enters it, at a choice point as the walk
+    pushes it or pops back to it, when the blocks closed so far, the
+    fewest that the option closes at or below its vertex and the fewest
+    that the pending steps add (the DP's least block counts,
+    counting._least_blocks) reach the limit.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     n = tree.n
     if n < k:
         return
+    if limit is None:
+        limit = [n + 1]  # no character has more than n blocks
+    elif accept is None:
+        accept = _anything
     if n == 1:
-        if accept is None or accept(1, 0):
+        if limit[0] > 1 and (accept is None or accept(1, 0)):
             yield [1], [], [1]
         return
     children = _joined_children(tree)
@@ -281,17 +307,18 @@ def _block_stream(
         return fs, g_open, sum(compress((1, 2, 4, 8), fs))
 
     @cache  # lives as long as this stream
-    def option(v: int, S: int, c: int) -> tuple[int, tuple[int, dict[int, int], int], int]:
+    def option(v: int, S: int, c: int) -> tuple[int, tuple[int, dict[int, int], int, int, int], int]:
         """v's first option from case c on when v's edge is in S, and the
         case of the next one (-1 when there is none).  Cases 0..3 fix f's
         and g's edges cut or open, f first, in encoding order; an option is
-        f's allowed states and (g, g's allowed states per state of f, S)."""
+        f's allowed states and (g, g's allowed states per state of f, S, v,
+        the case)."""
         f, g = children[v]
         fs, g_open, present = cases(support[f], support[g], S)
         present = present >> c << c
         c = (present & -present).bit_length() - 1
         later = present & present - 1
-        return fs[c], (g, g_open if c & 1 else g_cut, S), (later & -later).bit_length() - 1
+        return fs[c], (g, g_open if c & 1 else g_cut, S, v, c), (later & -later).bit_length() - 1
 
     @cache  # lives as long as this stream
     def collapse(v: int, S: int) -> tuple[list[int], int, int]:
@@ -306,7 +333,7 @@ def _block_stream(
         while todo:
             u, S_u, done = todo.pop()
             if u >= n and not done:
-                f_allowed, (g, g_allowed, _), _ = option(u, S_u, 0)
+                f_allowed, (g, g_allowed, _, _, _), _ = option(u, S_u, 0)
                 S_g = g_allowed[f_allowed.bit_length() - 1]
                 todo += (u, S_u, True), (g, S_g, False), (children[u][0], f_allowed, False)
                 continue
@@ -318,9 +345,10 @@ def _block_stream(
         return closed, S.bit_length() - 1, masks[0]
 
     # Start at the top vertex, whose edge must end cut.  Pending steps in
-    # ``cont``: (start, (g, g_allowed, S_u)) waits for f and (start, j1,
-    # S_u, g) for g, where ``start`` is the open-taxa chain when their
-    # vertex was entered and j1 is the state f reached.
+    # ``cont``: (start, (g, g_allowed, S_u, u, c)) waits for f and (start,
+    # j1, S_u, g) for g, where ``start`` is the open-taxa chain when their
+    # vertex u was entered, c is the case of u's option and j1 is the state
+    # f reached.
     #
     # A vertex has one live g step at a time, and the option that made it
     # fixes g's edge cut or open.  With g's edge cut, the open taxa at the
@@ -342,7 +370,7 @@ def _block_stream(
     # takes from ``tail`` before it cuts them, then yields.  A rejected
     # walk fills no cell, so after it the records, and ``tail``, still
     # describe the last character yielded.
-    v, S, i, cont, opened = len(children) - 1, 1, 0, None, None
+    v, S, i, cont, opened, top = len(children) - 1, 1, 0, None, None, 0
     blocks: list[int] = []
     choices: list = []
     seen = [0] * len(children)
@@ -351,8 +379,49 @@ def _block_stream(
     kept, tail, spliced, end = 0, [], 0, [None]
     append, extend = blocks.append, blocks.extend
     if accept is not None:
-        def append(block: int) -> None:
-            if not accept(block, len(blocks)):
+        @cache  # lives as long as this stream, from the first limit below n + 1 on
+        def least() -> list[tuple[int | None, ...]]:
+            return _least_blocks(tree, k)
+
+        @cache  # lives as long as this stream
+        def fewest(v: int, S: int, c: int) -> tuple[int, int]:
+            """Fewest blocks that close at or below v on v's option from
+            case c on, when v's edge is in S, and the fewest of them that
+            close outside f's subtree: in g's or at v."""
+            S_f, (g, g_allowed, _, _, _), _ = option(v, S, c)
+            least_f, least_g = least()[children[v][0]], least()[g]
+            own = rest = n  # no option closes more
+            for j1 in range(len(least_f)):
+                G = g_allowed[j1] if S_f >> j1 & 1 else 0
+                for j2 in range(len(least_g)):
+                    if G >> j2 & 1:  # two open blocks close at v when its edge is cut
+                        cost = least_g[j2] + (S == 1 and j1 > 0 and j2 > 0)
+                        own, rest = min(own, least_f[j1] + cost), min(rest, cost)
+            return own, rest
+
+        summed = [None, 0]  # the chain of pending steps summed last, and its sum
+
+        def hopeless(v: int, S: int, c: int, cont, closed: int) -> bool:
+            """True when every character that takes v's option from case c
+            on, with ``closed`` blocks closed and the pending steps in
+            ``cont``, has at least ``limit[0]`` blocks.  Chains of pending
+            steps share their tails, so a sum stops at the chain summed
+            last."""
+            total, chain = 0, cont
+            while chain is not None and chain is not summed[0]:
+                step, chain = chain
+                if len(step) == 2:  # waits for f: g's subtree and the close at u
+                    _, _, S_u, u, case = step[1]
+                    total += fewest(u, S_u, case)[1]
+                else:  # f's edge open and the edge above cut: the block closes there
+                    total += step[1] > 0 and step[2] == 1
+            if chain is not None:
+                total += summed[1]
+            summed[:] = cont, total
+            return closed + fewest(v, S, c)[0] + total >= limit[0]
+
+        def append(block: int) -> None:  # at least len(blocks) + 1 + (not block & 1) blocks
+            if len(blocks) + 2 - (block & 1) >= limit[0] or not accept(block, len(blocks)):
                 raise _Rejected
             blocks.append(block)
 
@@ -361,6 +430,11 @@ def _block_stream(
                 append(block)
     while True:  # one walk per character or rejection, from the last choice point
         try:
+            if limit[0] <= n and hopeless(v, S, i, cont, top):  # the option popped back to
+                later = option(v, S, i)[2]
+                if later >= 0:
+                    choices.append((v, S, later, cont, opened, top))
+                raise _Rejected
             while True:
                 while v >= n:  # descend along option i, then first options
                     # Forced: S, which never holds a state outside support[v], is
@@ -376,6 +450,8 @@ def _block_stream(
                     if later >= 0:
                         choices.append((v, S, later, cont, opened, len(blocks)))
                         end = [None]
+                        if limit[0] <= n and hopeless(v, S, i, cont, len(blocks)):
+                            raise _Rejected
                     cont = ((opened, after_f), cont)
                     v, S, i = children[v][0], S_f, 0
                 else:  # a leaf's allowed set is one state: 0 (a singleton, S = 1) or 1
@@ -405,7 +481,7 @@ def _block_stream(
                     break
                 if cont is None:
                     break
-                (start, (v, g_allowed, S_u)), cont = cont  # f is done: descend into g
+                (start, (v, g_allowed, S_u, _, _)), cont = cont  # f is done: descend into g
                 cont = ((start, state, S_u, v), cont)
                 S = g_allowed[state]
                 ends[v], i = None, 0

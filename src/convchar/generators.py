@@ -205,6 +205,8 @@ class FullyLoadedSpec:
         pendant spine orders; used to exercise shape independence."""
         labs = list(labels)
         n = len(labs)
+        if k < 2 or n < 1:
+            raise ValueError("need k >= 2 and n >= 1")
         rng.shuffle(labs)
         r = n % (k - 1)
         chunks = []

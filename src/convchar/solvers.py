@@ -7,22 +7,27 @@ block mask names the same taxa in every input tree.  Any problem which
 projects down onto convex characters gets an exact solver for free, at
 O(alpha_k^n * poly(n)) worst case.
 
-Agreement and objective scans prune the stream as its blocks close (the
-``accept`` hook of ``characters._block_stream``): a rejected block ends
-every character below the last choice point unscored and undrawn.  Each
-mode hands :func:`_scan` a ``floor(b)``, a lower bound on the value of
-every character with at least b blocks, and only ``_scan`` counts blocks:
-taxon 0's block closes last, so a block at depth d means at least d + 1
-blocks, one more when it misses taxon 0.  Agreement's value is its block
-count, so its floor is b; its block check (:func:`_agreeing_blocks`) also
-rejects a block that restricts differently in the trees or whose spanning
-subtree in the second tree meets that of a block before it.
+Agreement and objective scans prune the stream (``characters._block_stream``)
+by a block limit: a rejected branch ends every character below it unscored
+and undrawn.  Each mode hands :func:`_scan` a ``floor(b)``, a lower bound
+on the value of every character with at least b blocks, and whenever the
+incumbent improves ``_scan`` turns it into the stream's limit, the least
+block count whose characters cannot beat the incumbent.  The stream
+applies the limit at each choice point before it walks in, against the
+blocks closed so far plus the DP's fewest blocks below the option and its
+pending steps (``counting._least_blocks``), and to each block as it
+closes.  Agreement's value is its block count, so its floor is b and its
+limit the incumbent; its block check (:func:`_agreeing_blocks`), the
+stream's ``accept`` hook, also rejects a block that restricts differently
+in the trees or whose spanning subtree in the second tree meets that of a
+block before it.
 
 The objective's floor is the Fitch floor, b - 1 per tree: b blocks score
 at least b - 1 on every tree, with equality exactly when the partition is
-convex there.  The objective scores the scanned tree as b - 1 without a
-Fitch pass, and rejects a character between Fitch passes once its exact
-scores so far plus b - 1 per tree left reach the incumbent.
+convex there, so over m trees its limit is ceil(best / m) + 1.  The
+objective scores the scanned tree as b - 1 without a Fitch pass, and
+rejects a character between Fitch passes once its exact scores so far
+plus b - 1 per tree left reach the incumbent.
 
 No rejection drops an answer: a rejected character cannot beat the
 incumbent, and ``_scan`` keeps only a strict improvement, so the result,
@@ -37,6 +42,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Callable, Sequence
 
 from .characters import Character, _block_stream, _parsimony
@@ -63,8 +69,7 @@ def _sum_parsimony(
     holds the exact scores so far plus that floor for every tree left, a
     lower bound on the sum, and the partition is rejected as soon as a
     Fitch pass brings the bound to ``best``.  The floor alone is below
-    ``best``: the scan rejects the last block of any partition it is not
-    below.
+    ``best``: the scan's block limit ends every partition it is not below.
     """
     floor = len(masks) - 1
     total = floor * len(trees)
@@ -215,32 +220,27 @@ def _scan(
     it; only a new incumbent's masks are copied.
 
     With ``floor(b)``, a lower bound on the value of every character with
-    at least b blocks, the scan prunes the stream as its blocks close (see
-    characters._block_stream).  Taxon 0's block closes last, so a block
-    at depth d means at least d + 1 blocks, one more when it misses taxon
-    0; the block is rejected once the floor of that count reaches the
-    incumbent, and otherwise goes on to ``check(block, depth)``, if given.
-    A pruned scan still decides every character, so it reports
-    ``count_convex(tree, k)`` as scanned; otherwise that is the number of
-    characters drawn.
+    at least b blocks, the scan prunes the stream (see
+    characters._block_stream): each new incumbent sets the stream's limit
+    to the least b whose floor reaches it, and every block the limit
+    leaves goes on to ``check(block, depth)``, if given.  A pruned scan
+    still decides every character, so it reports ``count_convex(tree, k)``
+    as scanned; otherwise that is the number of characters drawn.
     """
     start = time.perf_counter()
     best: tuple[int, ...] | None = None
     best_value: int | None = None
     scanned = 0
-
-    def accept(block: int, depth: int) -> bool:
-        if best_value is not None and floor(depth + 1 + (not block & 1)) >= best_value:
-            return False
-        return check is None or check(block, depth)
-
-    for masks, _, _ in _block_stream(tree, k, None if floor is None else accept):
+    limit = None if floor is None else [tree.n + 1]
+    for masks, _, _ in _block_stream(tree, k, check, limit):
         scanned += 1
         value = score(masks, best_value)
         if value is not None and (best_value is None or value < best_value):
             best, best_value = tuple(masks), value
             if first_only:
                 break
+            if limit is not None:
+                limit[0] = next(b for b in count(1) if floor(b) >= value)
     if floor is not None:
         scanned = count_convex(tree, k)
     # Disjoint blocks differ in their first label, so sorting the label
@@ -262,7 +262,8 @@ def agreement_forest_min_components(t1: Tree, t2: Tree, k: int = 1) -> SolveResu
     it is also convex on t2 and each block restricts to identical subtrees
     in both (equal restricted split sets).  Blocks are checked as they
     close, and a character's value is its block count, which is its own
-    floor.  Every character is decided, so characters_scanned equals the
+    floor, so the stream stops short of as many blocks as the incumbent
+    has.  Every character is decided, so characters_scanned equals the
     level-k count of t1.
     """
     _require_same_taxa([t1, t2])

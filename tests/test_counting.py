@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convchar import (
+    all_topologies,
     brute_count,
     caterpillar,
     caterpillar_closed_k3,
@@ -12,6 +13,8 @@ from convchar import (
     count_closed_k1,
     count_closed_k2,
     count_convex,
+    default_labels,
+    enumerate_convex,
     fibonacci,
     fibonacci_float_check,
     fully_loaded,
@@ -22,7 +25,7 @@ from convchar import (
     rate_table_tsv,
     split_recurrence_holds,
 )
-from convchar.counting import _join, _partners
+from convchar.counting import _join, _least_blocks, _partners
 from convchar.verify import (
     cherry_bound,
     closed_forms,
@@ -116,6 +119,45 @@ class TestEdgeRule:
             for J in range(1 << k + 1):
                 for S in range(1 << k + 1):
                     assert _partners(J, S, k) == self.partners_by_join(J, S, k), (k, J, S)
+
+
+class TestLeastBlocks:
+    """``_least_blocks``, the edge rule in min-plus form, against the
+    characters themselves."""
+
+    def test_top_is_the_fewest_blocks_of_any_character(self):
+        """Every topology on up to 7 taxa (the 10 395 on 8 add some 80 s of
+        enumeration)."""
+        for n in range(1, 8):
+            for tree in all_topologies(default_labels(n)):
+                for k in range(1, 5):
+                    want = min((c.block_count for c in enumerate_convex(tree, k)), default=None)
+                    assert _least_blocks(tree, k)[-1][0] == want, (tree.canonical_newick(), k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 9), seed=st.integers(0, 2**32))
+    def test_every_vertex_and_state(self, n, seed):
+        """``least[v][s]`` is the fewest blocks inside the taxa B below v
+        over the partial solutions with v's edge in state s.  Those are the
+        convex characters of the tree restricted to B and one taxon x
+        outside it, whose other blocks all hold at least k taxa, with x's
+        block minus x open on v's edge (state 0 when x is alone)."""
+        tree = random_tree(n, seed=seed) if n >= 3 else caterpillar(n)
+        labels, below = tree.labels, tree._below()
+        for v in range(1, tree.num_vertices()):
+            inside = [labels[i] for i in range(n) if below[v] >> i & 1]
+            x = labels[0]
+            characters = list(enumerate_convex(tree.restrict(inside + [x]), 1))
+            for k in range(1, 5):
+                want = [None] * (min(len(inside), k) + 1)
+                for ch in characters:
+                    (open_block,) = (b for b in ch.blocks if x in b)
+                    closed = [b for b in ch.blocks if x not in b]
+                    if all(len(b) >= k for b in closed):
+                        s = min(len(open_block) - 1, k)
+                        if want[s] is None or len(closed) < want[s]:
+                            want[s] = len(closed)
+                assert list(_least_blocks(tree, k)[v]) == want, (v, k)
 
 
 class TestClosedForms:

@@ -127,6 +127,15 @@ class TestFullyLoaded:
         with pytest.raises(TreeError, match="non-empty strings"):
             random_tree(3, labels=["a", "b", 3])
 
+    @pytest.mark.parametrize("labels, k", [
+        (["a", "b", "c"], 1), (["a", "b", "c"], 0), (["a", "b", "c"], -2), ([], 3),
+    ])
+    def test_randomized_spec_preconditions(self, labels, k):
+        with pytest.raises(ValueError, match=r"^need k >= 2 and n >= 1$"):
+            FullyLoadedSpec.randomized(labels, k, random.Random(0))
+        with pytest.raises(ValueError, match=r"^need k >= 2 and n >= 1$"):
+            FullyLoadedSpec.default(labels, k)
+
     def test_randomized_specs_all_agree(self):
         rng = random.Random(7)
         for (n, k) in ((10, 3), (13, 4), (17, 5)):

@@ -117,7 +117,7 @@ def oracle_stream(tree: Tree, k: int) -> Iterator[tuple[int, ...]]:
         del blocks[kept:]
 
 
-def assert_same_stream(tree, k, cap=CAP, rejects=None):
+def assert_same_stream(tree, k, cap=CAP, rejects=None, limit=None):
     """Same characters in the same order, and every delta consistent:
     the dropped blocks were in the previous character, and the previous
     character without them, plus the added blocks, is the current one.
@@ -125,11 +125,15 @@ def assert_same_stream(tree, k, cap=CAP, rejects=None):
     With ``rejects(block, depth)``, the stream's hook rejects those blocks
     and the oracle loses every character that holds one.  The hook also
     keeps the blocks it accepted per depth, which must be the live list
-    at every character: it sees each live list grow in order.
+    at every character: it sees each live list grow in order.  With a
+    block ``limit``, the oracle loses every character with that many
+    blocks or more.
 
     Exactly one live block holds taxon 0, and it is the last: the solvers'
     block-count bound rests on this."""
     want_stream = oracle_stream(tree, k)
+    if limit is not None:
+        want_stream = (c for c in want_stream if len(c) < limit)
     accept = None
     if rejects is not None:
         want_stream = (c for c in want_stream if not any(map(rejects, c, range(len(c)))))
@@ -146,7 +150,7 @@ def assert_same_stream(tree, k, cap=CAP, rejects=None):
     previous: Counter = Counter()
     for index, (want, got) in enumerate(zip_longest(
         islice(want_stream, cap),
-        islice(_block_stream(tree, k, accept), cap),
+        islice(_block_stream(tree, k, accept, None if limit is None else [limit]), cap),
     )):
         assert want is not None and got is not None, index
         live, dropped, added = got
@@ -245,6 +249,72 @@ def test_filtering_hook_on_spliced_subtrees(n, load, salt, depth_cap, data):
     assert_same_stream(fully_loaded(n, load), k, 3000, salted_rejects(salt, depth_cap))
 
 
+def any_tree(n, seed):
+    return random_tree(n, seed=seed) if n >= 3 else caterpillar(n)
+
+
+# A block limit L: the stream loses the characters with L blocks or more,
+# cut at the choice points above them by the DP's least block counts.
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), k=st.integers(1, 4), seed=st.integers(0, 2**32),
+       limit=st.integers(1, 13))
+def test_block_limit_removes_large_characters(n, k, seed, limit):
+    assert_same_stream(any_tree(n, seed), k, 5000, limit=limit)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 12), k=st.integers(1, 4), seed=st.integers(0, 2**32),
+    limit=st.integers(1, 13), salt=st.integers(0, 2**32), depth_cap=st.integers(1, 12),
+)
+def test_block_limit_with_filtering_hook(n, k, seed, limit, salt, depth_cap):
+    assert_same_stream(any_tree(n, seed), k, 5000, salted_rejects(salt, depth_cap), limit)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.integers(8, 24), load=st.integers(2, 5), limit=st.integers(1, 14),
+    salt=st.integers(0, 2**32), hooked=st.booleans(), data=st.data(),
+)
+def test_block_limit_on_spliced_subtrees(n, load, limit, salt, hooked, data):
+    """Forced subtrees spliced in whole and blocks spliced back from the
+    previous character, under a limit, with or without a hook."""
+    k = data.draw(st.integers(2, load), label="k")
+    rejects = salted_rejects(salt, n) if hooked else None
+    assert_same_stream(fully_loaded(n, load), k, 3000, rejects, limit)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 12), k=st.integers(1, 4), seed=st.integers(0, 2**32), data=st.data())
+def test_lowering_the_limit_between_characters(n, k, seed, data):
+    """The limit read at each step is the one in force: lowered after
+    some characters, as a scan does at each new incumbent, the stream
+    goes on as the oracle filtered by the new limit."""
+    tree = random_tree(n, seed=seed)
+    cuts = data.draw(st.dictionaries(st.integers(1, 40), st.integers(1, n), max_size=4),
+                     label="limit after character")
+    limit = [n + 1]
+    want, got = [], []
+    remaining = iter(oracle_stream(tree, k))
+    for live, _, _ in _block_stream(tree, k, None, limit):
+        want.append(next(c for c in remaining if len(c) < limit[0]))
+        got.append(tuple(live))
+        limit[0] = min(limit[0], cuts.get(len(got), limit[0]))
+    assert got == want
+    assert not [c for c in remaining if len(c) < limit[0]]
+
+
+def test_unbounded_limit_changes_nothing():
+    for tree, k in ((random_tree(10, seed=3), 1), (caterpillar(24), 3), (fully_loaded(25, 4), 4)):
+        plain = [(list(live), list(dropped), list(added))
+                 for live, dropped, added in _block_stream(tree, k)]
+        for accept in (None, lambda block, depth: True):
+            limited = [(list(live), list(dropped), list(added))
+                       for live, dropped, added in _block_stream(tree, k, accept, [tree.n + 1])]
+            assert limited == plain
+
+
 def test_accept_everything_hook_changes_nothing():
     for tree, k in ((random_tree(10, seed=3), 1), (caterpillar(24), 3), (fully_loaded(25, 4), 4)):
         plain = [(list(live), list(dropped), list(added))
@@ -329,6 +399,31 @@ def test_first_character_builds_only_the_options_it_takes():
         first = line_events(lambda: next(_block_stream(tree, 3)), modules)
         count = line_events(lambda: count_convex(tree, 3), modules)
         assert first - count <= bound, (tree.n, first - count)
+
+
+def test_agreement_limit_cuts_at_choice_points(monkeypatch):
+    """The agreement scan's limit is the incumbent's block count, applied
+    at the choice points: on a random 14-taxon pair at k = 1 the answer
+    is 7 components, and at most 110 000 blocks reach the block check.
+    The scan that applied the limit only as blocks closed offered 185 423
+    blocks to its hook, 134 603 of which went on to the block check."""
+    offered = 0
+    block_check = solvers._agreeing_blocks
+
+    def counted(trees):
+        check = block_check(trees)
+
+        def counting_check(block, depth):
+            nonlocal offered
+            offered += 1
+            return check(block, depth)
+        return counting_check
+
+    monkeypatch.setattr(solvers, "_agreeing_blocks", counted)
+    res = agreement_forest_min_components(random_tree(14, seed=0), random_tree(14, seed=1), 1)
+    assert res.objective_value == 7
+    assert res.characters_scanned == count_convex(random_tree(14, seed=0), 1)
+    assert offered <= 110_000, offered
 
 
 def swapped(tree, i, j):
