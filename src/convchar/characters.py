@@ -27,8 +27,14 @@ block limit: a rejected block ends every character below the last choice
 point, none of them drawn, and the limit also cuts a branch at its choice
 point, before the walk enters it, once the blocks closed so far and the
 counting DP's fewest blocks below the branch and its pending steps
-(``counting._least_blocks``) reach it.  Listing passes neither and pays
-one test per walk and per choice point for them.  ``trees._decode``
+(``counting._least_blocks``) reach it.  A hook that is upward-closed, one
+that rejects every superset of a block it rejects, at that depth or any
+later one, may also be passed as the predicate ``grows``, which sees a
+block while it is still open, wherever two open blocks merge: a block
+bound to fail then ends the walk where it first fails, before the walk
+enters the subtrees above it.  Listing passes none of them and pays one
+test per walk and per choice point for them; the predicate's tests share
+lines with the steps they guard, so it costs listing no line.  ``trees._decode``
 is the one way back to labels: ``_rendered`` renders only the blocks a
 character adds, into one slot per smallest taxon id, for
 ``enumerate_convex`` and the CLI's ``list``, and a solver decodes its
@@ -203,7 +209,8 @@ def parsimony_score(tree: Tree, f) -> int:
 
 
 class _Rejected(Exception):
-    """A block failed the block stream's ``accept`` hook or block limit."""
+    """A block failed the block stream's ``accept`` hook, its ``grows``
+    predicate or its block limit."""
 
 
 def _anything(block: int, depth: int) -> bool:
@@ -212,7 +219,7 @@ def _anything(block: int, depth: int) -> bool:
 
 def _block_stream(
     tree: Tree, k: int, accept: Callable[[int, int], bool] | None = None,
-    limit: list[int] | None = None,
+    limit: list[int] | None = None, grows: Callable[[int, int], bool] | None = None,
 ) -> Iterator[tuple[list[int], list[int], list[int]]]:
     """Every convex character of ``tree`` with min block size >= k, in
     stream order (see enumerate_convex), as ``(live, dropped, added)``: the
@@ -250,6 +257,21 @@ def _block_stream(
     which hold the block: the stream pops to that point without yielding,
     and ``dropped`` and ``added`` stay relative to the last character it
     yielded.  Without a hook the live list's own methods append.
+
+    ``grows(mask, depth)`` must be upward-closed: when it rejects a mask,
+    it and ``accept`` reject every superset of the mask at that depth and
+    every later one, after the same blocks.  The stream offers it an open
+    block's taxa as the block grows, at depth ``len(blocks)``: where an
+    open f and an open g merge under an open edge, and where a spliced
+    ``collapse`` record leaves two open taxa or more.  The block they end
+    in holds them and closes at that depth or later, after the same
+    blocks, so a rejection there, raised as at a close (the splice records
+    need no new rule), ends the walk before it enters the sibling subtrees
+    above.  Each open child then leaves one entry on the chain, a merge
+    folding its two into one, so a merge reads two entries; chains are
+    persistent, so the saved choice points stay valid.  Without ``grows``
+    nothing is folded, and its tests share lines with the steps they
+    guard, so listing runs no extra line for it.
 
     ``limit``, a one-item list, holds the least block count that no
     character may reach, n + 1 when it is not given (no limit); the caller
@@ -444,6 +466,9 @@ def _block_stream(
                             closed, state, m = collapse(v, S)
                             extend(closed)
                             start, opened = opened, (m, opened) if state else opened
+                            if grows is None or not m & m - 1: break  # under two open taxa
+                            if not grows(m, len(blocks)):
+                                raise _Rejected
                             break
                         entered[v] |= S
                     S_f, after_f, later = option(v, S, i)
@@ -468,6 +493,13 @@ def _block_stream(
                     (start, j1, S_u, g), cont = cont
                     if state:  # an open g: v's edge is cut (S_u = {0}) or open at the sum
                         state = (state + j1 if state + j1 < k else k) if S_u != 1 else 0
+                        if grows is None or not j1 or not state: continue  # none grows here
+                        # f's and g's open blocks merge and stay open.  Each is one
+                        # entry, as every merge below folded its own: fold them too.
+                        x, (y, _) = opened
+                        opened = (x | y, start)
+                        if not grows(x | y, len(blocks)):
+                            raise _Rejected
                         continue
                     last = ends[g]
                     if last is None or last[0] is None:

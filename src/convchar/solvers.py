@@ -20,7 +20,15 @@ closes.  Agreement's value is its block count, so its floor is b and its
 limit the incumbent; its block check (:func:`_agreeing_blocks`), the
 stream's ``accept`` hook, also rejects a block that restricts differently
 in the trees or whose spanning subtree in the second tree meets that of a
-block before it.
+block before it.  Both tests are upward-closed: a superset of a failing
+block restricts differently too, its restriction restricting to the
+block's, and its spanning subtree holds the block's, while the blocks
+before it stay live until it closes.  So the check is also the stream's
+``grows`` predicate, and a block bound to fail is rejected where two open
+blocks merge into it, before the walk enters the subtrees above.  A check
+on a growing block at depth d rewrites the check's edge record past d,
+which the next block accepted at depth d rewrites before it is read (see
+:func:`_agreeing_blocks`).
 
 The objective's floor is the Fitch floor, b - 1 per tree: b blocks score
 at least b - 1 on every tree, with equality exactly when the partition is
@@ -176,6 +184,16 @@ def _agreeing_blocks(trees: Sequence[Tree]) -> Callable[[int, int], bool]:
     edges there, one bit per edge, or -1 when its restrictions differ.
     ``used[d]`` holds the edges of the blocks before depth d, so accepting
     a block cuts ``used`` back to its depth and no undo log is needed.
+
+    The scan also passes ``check`` as the stream's ``grows`` predicate, on
+    the open taxa of a block at depth d, the number of live blocks.  It
+    reads ``used[d]``, the edges of those blocks, and answers as for a
+    closing block; when it accepts, it also rewrites ``used[d + 1]`` with
+    the edges of a block that is not live.  Nothing reads that entry
+    first: the stream asks at depth d + 1 only once a block has joined the
+    live list at depth d, and that block's call rewrites ``used[d + 1]``.
+    Nor does it touch ``used[d]`` or below: every call of a walk is at a
+    depth no less than the live blocks the walk restarted with.
     """
     first, rest = trees[0], trees[1:]
     memo: dict[int, int] = {}
@@ -232,7 +250,7 @@ def _scan(
     best_value: int | None = None
     scanned = 0
     limit = None if floor is None else [tree.n + 1]
-    for masks, _, _ in _block_stream(tree, k, check, limit):
+    for masks, _, _ in _block_stream(tree, k, check, limit, check):
         scanned += 1
         value = score(masks, best_value)
         if value is not None and (best_value is None or value < best_value):
@@ -261,7 +279,8 @@ def agreement_forest_min_components(t1: Tree, t2: Tree, k: int = 1) -> SolveResu
     Scans the level-k convex characters of t1; a character qualifies when
     it is also convex on t2 and each block restricts to identical subtrees
     in both (equal restricted split sets).  Blocks are checked as they
-    close, and a character's value is its block count, which is its own
+    close, and as they grow where two open blocks merge; a character's
+    value is its block count, which is its own
     floor, so the stream stops short of as many blocks as the incumbent
     has.  Every character is decided, so characters_scanned equals the
     level-k count of t1.

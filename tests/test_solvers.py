@@ -23,8 +23,8 @@ from convchar import (
 )
 from convchar.bruteforce import _convex
 from convchar.characters import _block_stream, _parsimony
-from convchar.solvers import _restricted_splits
-from convchar.trees import _decode
+from convchar.solvers import _agreeing_blocks, _restricted_splits
+from convchar.trees import Split, _decode
 
 
 def swap_labels(tree, a, b):
@@ -324,3 +324,40 @@ class TestPrunedScans:
         t1, t2 = pair
         for trees in ((t1, t2), (t1, t1), (t1,)):
             assert outcome(quartet_exact_partition(trees)) == reference_quartets(trees)
+
+
+def spans_meet(tree, a, b):
+    """True when the spanning subtrees of the blocks ``a`` and ``b`` share
+    an edge of ``tree``: both have taxa on both sides of one split."""
+    a, b = tree._labels_of(a), tree._labels_of(b)
+    return any(a & left and a & right and b & left and b & right
+               for left, right in map(Split.sides, tree.splits()))
+
+
+class TestAgreeingBlocks:
+    """The agreement block check alone, as a stream calls it: a block as it
+    closes at depth d, after the blocks accepted at depths 0..d-1, and a
+    block as it grows at depth d, which joins no list, so the next call is
+    again at depth d or less."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pair=tree_pairs(), data=st.data())
+    def test_growing_and_closing_calls_match_a_fresh_answer(self, pair, data):
+        t1, t2 = pair
+        check = _agreeing_blocks((t1, t2))
+        live = []
+        for _ in range(data.draw(st.integers(1, 40), label="calls")):
+            depth = data.draw(st.integers(0, len(live)), label="depth")
+            del live[depth:]
+            taken = sum(live)
+            free = [i for i in range(t1.n) if not taken >> i & 1]
+            if not free:
+                continue
+            block = sum(1 << i for i in data.draw(
+                st.sets(st.sampled_from(free), min_size=1), label="block"))
+            closing = data.draw(st.booleans(), label="closing")
+            want = restrictions_agree(t1, t2, block) and not any(
+                spans_meet(t2, block, b) for b in live)
+            assert check(block, depth) == want, (live, block, depth)
+            if closing and want:
+                live.append(block)
