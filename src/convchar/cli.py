@@ -28,16 +28,18 @@ EXIT_USAGE = 2
 EXIT_TRUNCATED = 3
 
 
-def _read_lines(path: str) -> list[str]:
+def _read_text(path: str) -> str:
+    """The text of ``path``, or of stdin for "-", less a leading UTF-8
+    byte order mark."""
     if path == "-":
-        return sys.stdin.read().splitlines()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read().splitlines()
+        return sys.stdin.read().removeprefix("\ufeff")
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        return fh.read()
 
 
 def _read_trees(path: str) -> list[tuple[int, Tree]]:
     out = []
-    for lineno, line in enumerate(_read_lines(path), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -144,13 +146,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    if args.instance == "-":
-        raw = sys.stdin.read()
-    else:
-        with open(args.instance, "r", encoding="utf-8") as fh:
-            raw = fh.read()
     try:
-        data = json.loads(raw)
+        data = json.loads(_read_text(args.instance))
     except json.JSONDecodeError as exc:
         raise ValueError(f"instance is not valid JSON: {exc}") from None
     result = solve(SolveInstance.from_json_dict(data))

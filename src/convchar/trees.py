@@ -18,6 +18,15 @@ only valid labels), and the generators check the label lists they are
 given.  ``_assemble``, which every tree is built by, trusts its callers
 and only suppresses degree-2 vertices, numbers and roots.
 
+Newick text is read once.  Its tokens come from ``str.split`` after the
+punctuation is padded with spaces, and one pass over them, in one of five
+states (an item due, after ':', after a group, after an item, after a
+branch length), checks the syntax and builds the parse tree as an
+adjacency, with no lookahead.  ``_assemble`` roots it by a breadth-first
+walk from taxon 0 that orients each vertex by removing from its neighbour
+list the vertex it was found from, and reads ``children`` off the lists
+that are left.
+
 Taxon subsets are manipulated as Python int bitmasks, bit i == taxon i.
 Trees are immutable; every "modifying" operation returns a new tree, so
 instances can be shared freely across threads and used as cache keys
@@ -28,7 +37,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
+from operator import length_hint
 from typing import Iterable
 
 
@@ -74,9 +84,15 @@ class Tripartition:
 # A taxon label: anything but whitespace and the Newick punctuation.
 _LABEL = re.compile(r"[^\s(),;:]+")
 # One Newick token after optional whitespace: punctuation or a word (a
-# label or a branch length).  Applied to text without its ';'.
+# label or a branch length).  Applied to text without its ';', only to find
+# where unexpected text starts.
 _TOKEN = re.compile(r"\s*([(),:]|[^(),:;\s]+)")
-_PUNCT = frozenset("(),:")
+# Where the Newick parser is: where an item is due, after ':', after a
+# group (which may take a label), after an item, or after a branch length.
+# The order is relied on: '(' is due only at _ITEM, ',' and ')' from
+# _GROUP on, ':' at _GROUP and _ITEM_DONE.
+_ITEM, _COLON, _GROUP, _ITEM_DONE, _LENGTH = range(5)
+_NO_LENGTH = "':' without a branch length"
 
 
 def _decode(labels: tuple[str, ...], bm: int) -> tuple[str, ...]:
@@ -96,66 +112,75 @@ def _check_label(label: str) -> None:
         raise TreeError(f"invalid taxon label {label!r}")
 
 
-def _assemble(adj: list[list[int] | None], leaf_labels: dict[int, str]) -> "Tree":
+def _assemble(adj: list[list[int]], leaf_labels: dict[int, str]) -> "Tree":
     """Number and root a tree given as a raw adjacency.
 
     Trusts its caller: ``adj`` is a tree in which ``adj[v]`` lists the
-    neighbours of vertex ``v`` in ascending order, or is None for a vertex
+    neighbours of vertex ``v`` in ascending order, or is empty for a vertex
     that is gone; ``leaf_labels`` maps each leaf (or the lone vertex of a
     one-taxon tree) to a valid label, no two alike; every other vertex has
     degree 3, or 2 where it is to be suppressed (the root of a rooted
-    representation, a vertex a restriction passes through).  Those are
-    suppressed in place, so ``adj`` is consumed.  Leaves are renumbered by sorted label, internal vertices in
-    breadth-first discovery order from the smallest label, neighbours
-    visited in ascending order.  The same pass roots the tree at taxon 0.
+    representation, a vertex a restriction passes through).  ``adj`` is
+    consumed: degree-2 vertices are suppressed in place, and rooting turns
+    each list into the vertex's children.
+
+    The tree is rooted by a breadth-first walk from the smallest label,
+    neighbours taken in ascending order.  Each vertex the walk finds is
+    oriented by removing from its list the vertex it was found from, so no
+    neighbour needs a seen test, and what is left is its children.  Leaves
+    are renumbered by sorted label and internal vertices in the order the
+    walk finds them, so the new ids of their children, in one flat list
+    read in pairs, are ``children``.  A last bottom-up pass orders each
+    pair by the smallest taxon below and sets ``parent``.
     """
-    labels = sorted(leaf_labels.values())
+    leaves = sorted(leaf_labels, key=leaf_labels.__getitem__)
+    labels = tuple(map(leaf_labels.__getitem__, leaves))
     n = len(labels)
     if n == 1:
-        return Tree((labels[0],), (-1,), ((),))
-    for v in [v for v, nbs in enumerate(adj) if nbs is not None and len(nbs) == 2]:
+        return Tree(labels, (-1,), ((),))
+    # Suppressing a vertex changes no other vertex's degree.
+    degrees = list(map(len, adj))
+    v = -1
+    for _ in range(degrees.count(2)):
+        v = degrees.index(2, v + 1)
         a, b = adj[v]
         for x, y in ((a, b), (b, a)):
             xs = adj[x]
             xs[xs.index(v)] = y
             xs.sort()
-        adj[v] = None
 
-    # Renumber: leaves by sorted label, internals in BFS discovery order.
-    # A vertex's children in the rooting at taxon 0 are the vertices first
-    # discovered from it.
-    V, vertices = len(adj), 2 * n - 2
-    new_id = [-1] * V
-    rank = {lab: i for i, lab in enumerate(labels)}
-    for v, lab in leaf_labels.items():
-        new_id[v] = rank[lab]
-    start = next(v for v, lab in leaf_labels.items() if lab == labels[0])
-    seen = [False] * V
-    seen[start] = True
-    order = [start]
-    parent = [-1] * vertices
-    children: list[tuple[int, ...]] = [()] * vertices
-    nxt = n
-    for v in order:
-        pv = new_id[v]
-        kids = [u for u in adj[v] if not seen[u]]
-        for u in kids:
-            seen[u] = True
-            if new_id[u] < 0:
-                new_id[u] = nxt
-                nxt += 1
-            parent[new_id[u]] = pv
-        order += kids
-        children[pv] = tuple([new_id[u] for u in kids])
+    # ``internal`` is the walk's queue: leaves other than the start have no
+    # children left and never join it.
+    start = leaves[0]
+    internal = [start]
+    for v in internal:
+        for u in adj[v]:
+            kids = adj[u]
+            kids.remove(v)
+            if kids:
+                internal.append(u)
+    del internal[0]  # the start leaf, whose one child is c0
+    vertices = 2 * n - 2
+    new_id = [0] * len(adj)
+    for i, v in enumerate(leaves):
+        new_id[v] = i
+    for i, v in enumerate(internal, n):
+        new_id[v] = i
+    ids = list(map(new_id.__getitem__, chain.from_iterable(map(adj.__getitem__, internal))))
 
-    # Bottom-up by descending id: children ordered by smallest taxon below.
+    children: list[tuple[int, ...]] = [()] * n
+    children[0] = (new_id[adj[start][0]],)
+    children += zip(ids[::2], ids[1::2])
+    parent = [0] * vertices
+    parent[0] = -1
     low = list(range(vertices))
     for v in range(vertices - 1, n - 1, -1):
         f, g = children[v]
         if low[g] < low[f]:
             children[v] = f, g = g, f
         low[v] = low[f]
-    return Tree(tuple(labels), tuple(parent), tuple(children))
+        parent[f] = parent[g] = v
+    return Tree(labels, tuple(parent), tuple(children))
 
 
 class Tree:
@@ -351,21 +376,17 @@ class Tree:
         for v in range(len(parent) - 1, n - 1, -1):
             f, g = children[v]
             below[v] = below[f] + below[g]
-        adj: list = [None] * len(parent)
-        for v in keep_ids:
-            adj[v] = []
+        # Edges taken by ascending child leave every list ascending but
+        # c0's: an internal vertex's leaf children have smaller ids than its
+        # parent, its internal children larger ones, and c0's parent is 0.
+        adj = [[] for _ in parent]
         for v in range(1, len(parent)):
             if 0 < below[v] < total:
                 p = parent[v]
-                for a, b in ((v, p), (p, v)):
-                    if adj[a] is None:
-                        adj[a] = [b]
-                    else:
-                        adj[a].append(b)
-        for nbs in adj:
-            if nbs:
-                nbs.sort()
-        return _assemble(adj, {v: self._labels[v] for v in keep_ids})
+                adj[v].append(p)
+                adj[p].append(v)
+        adj[children[0][0]].sort()
+        return _assemble(adj, dict(zip(keep_ids, map(self._labels.__getitem__, keep_ids))))
 
     def delete(self, drop: Iterable[str]) -> "Tree":
         """Restriction to the complement of ``drop``."""
@@ -467,67 +488,72 @@ def parse_newick(text: str) -> Tree:
     if ";" in s:
         raise NewickError("more than one ';'")
 
-    tokens = _TOKEN.findall(s)
+    # With ';' gone, str.split cuts the same tokens as _TOKEN would: both
+    # take whitespace to be what str.isspace says it is.
+    tokens = s.replace("(", " ( ").replace(")", " ) ").replace(",", " , ")
+    tokens = tokens.replace(":", " : ").split()
     # Parse nodes are numbered as they close, so every neighbour list comes
     # out ascending: children in text order, then the parent.  A unary group
     # "(x)" is x itself and gets no node.
     adj: list[list[int]] = []
     leaf_labels: dict[int, str] = {}
-    stack: list[list[int]] = [[]]  # children of each open group
-    expecting_item = True
-    i, end = 0, len(tokens)
-    while i < end:
-        tok = tokens[i]
-        i += 1
+    stack: list[list[int]] = []  # children of the enclosing open groups
+    kids: list[int] = []  # children of the innermost one, or the tree
+    state = _ITEM
+    it = iter(tokens)
+    for tok in it:
         if tok == "(":
-            if not expecting_item:
-                raise NewickError("unexpected '('")
-            stack.append([])
-            continue
-        if tok == ",":
-            if expecting_item:
-                raise NewickError("empty label before ','")
-            if len(stack) < 2:
+            if state:
+                raise NewickError(_NO_LENGTH if state == _COLON else "unexpected '('")
+            stack.append(kids)
+            kids = []
+        elif tok == ",":
+            if state < _GROUP:
+                raise NewickError(_NO_LENGTH if state else "empty label before ','")
+            if not stack:
                 raise NewickError("',' outside parentheses")
-            expecting_item = True
-            continue
-        if tok == ":":
-            raise NewickError("unexpected ':'")
-        if tok == ")":
-            if expecting_item:
-                raise NewickError("empty label before ')'")
-            kids = stack.pop()
+            state = _ITEM
+        elif tok == ")":
+            if state < _GROUP:
+                raise NewickError(_NO_LENGTH if state else "empty label before ')'")
             if not stack:
                 raise NewickError("unbalanced ')'")
             if len(kids) == 1:
                 v = kids[0]
             else:
                 v = len(adj)
-                adj.append(kids)
                 for c in kids:
                     adj[c].append(v)
-            if i < end and tokens[i] not in _PUNCT:
-                i += 1  # internal label, discarded
-        else:
-            if not expecting_item:
-                at = [m.start(1) for m in _TOKEN.finditer(s)][i - 1]
-                raise NewickError(f"unexpected text at {s[at:at + 10]!r}")
-            v = len(adj)
+                adj.append(kids)
+            kids = stack.pop()
+            kids.append(v)
+            state = _GROUP
+        elif tok == ":":
+            if not _GROUP <= state <= _ITEM_DONE:
+                raise NewickError(_NO_LENGTH if state == _COLON else "unexpected ':'")
+            state = _COLON
+        elif state == _ITEM:
+            kids.append(len(adj))
+            leaf_labels[len(adj)] = tok
             adj.append([])
-            leaf_labels[v] = tok
-        stack[-1].append(v)
-        expecting_item = False
-        if i < end and tokens[i] == ":":
-            if i + 1 == end or tokens[i + 1] in _PUNCT:
-                raise NewickError("':' without a branch length")
+            state = _ITEM_DONE
+        elif state == _GROUP:
+            state = _ITEM_DONE  # internal label, discarded
+        elif state == _COLON:
             try:
-                float(tokens[i + 1])
+                float(tok)
             except ValueError:
-                raise NewickError(f"bad branch length {tokens[i + 1]!r}") from None
-            i += 2
-    if len(stack) != 1:
+                raise NewickError(f"bad branch length {tok!r}") from None
+            state = _LENGTH
+        else:
+            # A list iterator's length hint is the number of tokens left.
+            at = [m.start(1) for m in _TOKEN.finditer(s)][len(tokens) - length_hint(it) - 1]
+            raise NewickError(f"unexpected text at {s[at:at + 10]!r}")
+    if state == _COLON:
+        raise NewickError(_NO_LENGTH)
+    if stack:
         raise NewickError("unbalanced '('")
-    if len(stack[0]) != 1:
+    if len(kids) != 1:
         raise NewickError("expected a single tree")
 
     if len(set(leaf_labels.values())) != len(leaf_labels):

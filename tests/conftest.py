@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from convchar import parse_newick
@@ -11,3 +13,27 @@ EXAMPLE7_NEWICK = "(((a,b),c),((f,g),e),d);"
 @pytest.fixture(scope="session")
 def example7():
     return parse_newick(EXAMPLE7_NEWICK)
+
+
+def line_events(run, modules):
+    """Line events of the code in ``modules`` while ``run()`` runs, counted
+    with ``sys.settrace`` so the library carries no counter for work gates."""
+    paths = {module.__file__ for module in modules}
+    events = 0
+
+    def local(frame, event, arg):
+        nonlocal events
+        if event == "line":
+            events += 1
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code.co_filename in paths else None
+
+    before = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        run()
+    finally:
+        sys.settrace(before)
+    return events

@@ -247,6 +247,29 @@ class TestCli:
         assert main(["count", "-", "-k", "1"]) == 0
         assert capsys.readouterr().out.strip().endswith("233")
 
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys, monkeypatch):
+        """A UTF-8 byte order mark at the start of a tree or instance file,
+        or of stdin, is not part of the input."""
+        path = tmp_path / "bom.nwk"
+        path.write_bytes(b"\xef\xbb\xbf" + (EXAMPLE + "\n" + EXAMPLE + "\n").encode())
+        assert main(["count", str(path), "-k", "2"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["1\t7\t2\t8", "2\t7\t2\t8"]
+        assert main(["list", str(path), "-k", "4"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["a,b,c,d,e,f,g"] * 2
+        monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + EXAMPLE + "\n"))
+        assert main(["count", "-", "-k", "1"]) == 0
+        assert capsys.readouterr().out.strip().endswith("233")
+
+        inst = json.dumps({"trees": [EXAMPLE, EXAMPLE], "k": 2,
+                           "mode": "agreement_forest_min_components"})
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xef\xbb\xbf" + inst.encode())
+        assert main(["solve", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["objective_value"] == 1
+        monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + inst))
+        assert main(["solve", "-"]) == 0
+        assert json.loads(capsys.readouterr().out)["objective_value"] == 1
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["count"]) == 2
         assert main(["nonsense"]) == 2

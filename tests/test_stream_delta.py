@@ -8,13 +8,12 @@ is kept verbatim, as the judge of the order and content of
 stream is the oracle's without every character that holds a rejected
 block, and an upward-closed hook passed as the ``grows`` predicate too
 changes nothing more.  The work gates count the line events of the code in
-``characters.py`` with ``sys.settrace``, helpers nested in the stream
-included, so the library carries no counter for them.
+``characters.py`` with ``line_events`` (``conftest.py``), helpers nested
+in the stream included, so the library carries no counter for them.
 """
 
 import random
 import re
-import sys
 from collections import Counter, deque
 from functools import cache
 from itertools import islice, product, zip_longest
@@ -37,6 +36,8 @@ from convchar import (
 from convchar.characters import _block_stream
 from convchar.counting import _dp_tables, _join, _joined_children
 from convchar.trees import Tree
+
+from conftest import line_events
 
 CAP = 20_000  # characters compared per stream
 
@@ -423,36 +424,14 @@ def test_rejecting_every_block_yields_nothing():
     assert list(_block_stream(random_tree(9, seed=1), 2, lambda block, depth: False)) == []
 
 
-def line_events(run, modules=(characters,)):
-    """Line events of the code in ``modules`` while ``run()`` runs."""
-    paths = {module.__file__ for module in modules}
-    events = 0
-
-    def local(frame, event, arg):
-        nonlocal events
-        if event == "line":
-            events += 1
-        return local
-
-    def calls(frame, event, arg):
-        return local if frame.f_code.co_filename in paths else None
-
-    before = sys.gettrace()
-    sys.settrace(calls)
-    try:
-        run()
-    finally:
-        sys.settrace(before)
-    return events
-
-
 def line_events_per_character(tree, k, first=2, last=201):
     """Line events of the code in ``characters.py`` per character, from
     character ``first`` to ``last``."""
     stream = _block_stream(tree, k)
     for _ in range(first - 1):
         next(stream)
-    events = line_events(lambda: [next(stream) for _ in range(last - first + 1)])
+    events = line_events(lambda: [next(stream) for _ in range(last - first + 1)],
+                         (characters,))
     return events / (last - first + 1)
 
 
@@ -548,7 +527,7 @@ def test_agreement_prunes_the_stream():
         (random_tree(12, seed=0), swapped(random_tree(12, seed=0), 3, 9), 1, 30),
     )
     for t1, t2, k, fewer in pairs:
-        drawn = line_events(lambda: deque(_block_stream(t1, k), maxlen=0))
+        drawn = line_events(lambda: deque(_block_stream(t1, k), maxlen=0), (characters,))
         pruned = line_events(lambda: agreement_forest_min_components(t1, t2, k),
                              (characters, solvers))
         assert 2 * pruned <= drawn, (t1.n, k, drawn, pruned)

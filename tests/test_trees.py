@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -15,8 +16,11 @@ from convchar import (
     fully_loaded,
     parse_newick,
     random_tree,
+    trees,
     write_newick,
 )
+
+from conftest import line_events
 
 
 def scrambled_newick(tree: Tree, root_leaf: int, flip: bool) -> str:
@@ -115,6 +119,14 @@ NEWICK_ERRORS = [
     ("(a,b):;", "':' without a branch length"),
     ("(a:x,b);", "bad branch length 'x'"),
     ("(a:1e,b);", "bad branch length '1e'"),
+    ("(a:1 x,b);", "unexpected text at 'x,b)'"),
+    ("(a,b)x:1:2;", "unexpected ':'"),
+    ("(a,b)x:;", "':' without a branch length"),
+    ("(a,b):1x;", "bad branch length '1x'"),
+    ("(a,b)x(c);", "unexpected '('"),
+    ("(a,b):1,c;", "',' outside parentheses"),
+    ("(a,b):1);", "unbalanced ')'"),
+    ("(a\u00a0b,c);", "unexpected text at 'b,c)'"),
     (";", "expected a single tree"),
     ("  ;", "expected a single tree"),
 ]
@@ -499,3 +511,153 @@ class TestIngest:
         assert_tree_invariants(t)
         keep = data.draw(st.sets(st.sampled_from(t.labels), min_size=1))
         assert_tree_invariants(t.restrict(keep))
+
+
+# -- ingest digest -------------------------------------------------------------
+#
+# One sha256 over the outcome of every way a tree enters: parsed text, a
+# restriction and the generators that build trees without text.  A tree
+# outcome is its (labels, parent, children) arrays, an error its type and
+# message, so the digest pins the numbering, every message and which error
+# a text meets first.  Recorded before the parser moved to str.split
+# tokens and one token pass, and before ``_assemble`` oriented by removing
+# each vertex's discoverer.
+
+INGEST_DIGEST = "ab852b38f5a55b2e69872164fc5e95a12a856ca49a2845b8915b47fcd9167799"
+
+# Whitespace the parser must skip, Unicode spaces included, and characters
+# that only look like it.
+_FUZZ_SPACES = [" ", " ", "\t", "\n", "\r\n", "\x0b", "\x1c", "\x85", "\u00a0",
+                "\u2003", "\u3000", "\u200b", "\ufeff"]
+_FUZZ_LENGTHS = ["1", "0.5", "1e-3", "-2", ".5", "2.", "1E5", "+3", "inf", "nan", "1_0"]
+_FUZZ_BAD_LENGTHS = ["x", "1e", "1x", "0x1", "--1", "1.2.3", ""]
+_FUZZ_INNER = ["x", "90", "n1", "i.2", "é"]
+_FUZZ_STRAY = "(),:; "
+
+
+def _fuzz_text(rng: random.Random) -> str:
+    """A Newick-like text: nested groups of arity 1-4 with internal labels
+    and branch lengths, good and bad, fresh leaf labels with now and then
+    a repeat, whitespace between tokens, in about half the texts stray
+    punctuation or a dropped character, and a missing or doubled ';'."""
+    used: list[str] = []
+
+    def space() -> str:
+        return rng.choice(_FUZZ_SPACES) if rng.random() < 0.15 else ""
+
+    def node(depth: int) -> str:
+        if depth == 0 or rng.random() < 0.35:
+            if used and rng.random() < 0.05:
+                text = rng.choice(used)
+            else:
+                text = rng.choice(["t", "a", "T_", "é"]) + str(len(used))
+                used.append(text)
+        else:
+            kids = [node(depth - 1) for _ in range(rng.choice([1, 2, 2, 2, 3, 3, 4]))]
+            text = "(" + ",".join(space() + kid + space() for kid in kids) + ")"
+            if rng.random() < 0.2:
+                text += space() + rng.choice(_FUZZ_INNER)
+        if rng.random() < 0.25:
+            bad = rng.random() < 0.04
+            text += space() + ":" + space() + rng.choice(
+                _FUZZ_BAD_LENGTHS if bad else _FUZZ_LENGTHS)
+        return text
+
+    text = node(rng.choice([1, 2, 3, 3, 4, 5]))
+    for _ in range(rng.choice([0, 0, 0, 1, 1, 2])):
+        at = rng.randrange(len(text) + 1)
+        if rng.random() < 0.7:
+            text = text[:at] + rng.choice(_FUZZ_STRAY) + text[at:]
+        else:
+            text = text[:at] + text[at + 1:]
+    end = rng.choice([";"] * 6 + ["; ", " ;\n", "", ";;", ";a;"])
+    return space() + text + end + space()
+
+
+def _topology_text(n: int, rng: random.Random) -> str:
+    """Newick text of a uniform random topology on n >= 3 shuffled labels,
+    written from an internal vertex of degree 3."""
+    adj: list[list[int]] = [[] for _ in range(2 * n - 2)]
+    edges = [(0, n), (1, n), (2, n)]
+    for leaf in range(3, n):
+        i = rng.randrange(len(edges))
+        u, v = edges[i]
+        w = n + leaf - 2
+        edges[i] = (u, w)
+        edges += [(w, v), (w, leaf)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    names = default_labels(n)
+    rng.shuffle(names)
+
+    def render(v: int, parent: int) -> str:
+        if v < n:
+            return names[v]
+        return "(" + ",".join(render(u, v) for u in adj[v] if u != parent) + ")"
+
+    return render(n, -1) + ";"
+
+
+def _chain_text(names: list[str]) -> str:
+    """Rooted caterpillar text over ``names`` in spine order."""
+    head = "".join(f"({x}," for x in names[:-2])
+    return f"{head}({names[-2]},{names[-1]}){')' * (len(names) - 2)};"
+
+
+def _outcome(make) -> tuple:
+    try:
+        t = make()
+    except Exception as exc:  # every error is part of the outcome
+        return type(exc).__name__, str(exc)
+    return t.labels, t._parent, t._children
+
+
+def ingest_outcomes():
+    """Every outcome the ingest digest covers, in a fixed order."""
+    rng = random.Random(20261019)
+    for _ in range(40_000):
+        text = _fuzz_text(rng)
+        yield _outcome(lambda: parse_newick(text))
+    for n in [*range(3, 40), 64, 100, 157, 200, 256, 300]:
+        names = default_labels(n)
+        rng.shuffle(names)
+        yield _outcome(lambda: parse_newick(_chain_text(names)))
+        text = _topology_text(n, rng)
+        yield _outcome(lambda: parse_newick(text))
+        t = parse_newick(text)
+        for _ in range(3):
+            keep = rng.sample(t.labels, rng.randint(1, n))
+            yield _outcome(lambda: t.restrict(keep))
+    for n in range(3, 80):
+        yield _outcome(lambda: random_tree(n, seed=n))
+    for n in range(1, 8):
+        for t in all_topologies(default_labels(n)):
+            yield _outcome(lambda: t)
+
+
+def test_ingest_digest():
+    digest = hashlib.sha256()
+    for outcome in ingest_outcomes():
+        digest.update(repr(outcome).encode("utf-8") + b"\n")
+    assert digest.hexdigest() == INGEST_DIGEST
+
+
+def test_ingest_work_is_linear():
+    """Reading a tree costs the same work per taxon at 1 000 and 8 000
+    taxa: line events of ``trees.py`` per taxon for ``parse_newick`` on a
+    caterpillar over shuffled labels and on a random topology, and for
+    ``restrict`` to a random half of the taxa, change by at most 2%."""
+    figures = []
+    for n in (1000, 8000):
+        rng = random.Random(n)
+        names = default_labels(n)
+        rng.shuffle(names)
+        chain, topology = _chain_text(names), random_tree(n, seed=1).canonical_newick()
+        t = parse_newick(topology)
+        keep = rng.sample(t.labels, n // 2)
+        runs = (lambda: parse_newick(chain), lambda: parse_newick(topology),
+                lambda: t.restrict(keep))
+        figures.append([line_events(run, (trees,)) / n for run in runs])
+    for small, big in zip(*figures):
+        assert abs(big - small) <= 0.02 * small, figures
