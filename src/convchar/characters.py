@@ -35,10 +35,12 @@ bound to fail then ends the walk where it first fails, before the walk
 enters the subtrees above it.  Listing passes none of them and pays one
 test per walk and per choice point for them; the predicate's tests share
 lines with the steps they guard, so it costs listing no line.  ``trees._decode``
-is the one way back to labels: ``_rendered`` renders only the blocks a
-character adds, into one slot per smallest taxon id, for
-``enumerate_convex`` and the CLI's ``list``, and a solver decodes its
-answer.  ``Character`` objects built from masks go through the trusted
+is the one way back to labels: ``_rendered``, for ``enumerate_convex`` and
+the CLI's ``list``, looks up each block a character adds in a memo by mask
+that lives as long as the stream and holds at most 8n renderings, renders
+only the blocks it misses, from names the caller may encode once per tree,
+and keeps one slot per smallest taxon id; a solver decodes its answer.
+``Character`` objects built from masks go through the trusted
 ``Character._canonical``.
 """
 
@@ -64,15 +66,18 @@ class Character:
     __slots__ = ("_blocks",)
 
     def __init__(self, blocks: Iterable[Iterable[str]]):
-        plain = [tuple(sorted(b)) for b in blocks]
+        plain = [tuple(b) for b in blocks]
         if not plain or any(not b for b in plain):
             raise ValueError("blocks must be non-empty")
-        canon = sorted(plain, key=lambda b: b[0])
+        if not all(isinstance(t, str) and t for b in plain for t in b):
+            raise ValueError("taxon labels must be non-empty strings")
+        canon = sorted((tuple(sorted(b)) for b in plain), key=lambda b: b[0])
         seen: set[str] = set()
         for b in canon:
             for t in b:
                 if t in seen:
-                    raise ValueError(f"taxon {t!r} appears in two blocks")
+                    where = "twice in one block" if b.count(t) > 1 else "in two blocks"
+                    raise ValueError(f"taxon {t!r} appears {where}")
                 seen.add(t)
         self._blocks = tuple(canon)
 
@@ -532,30 +537,42 @@ def _block_stream(
         spliced, end = 0, [None]
 
 
-def _rendered(tree: Tree, k: int, render: Callable[[tuple[str, ...]], R]) -> Iterator[Iterator[R]]:
+def _rendered(
+    tree: Tree, k: int, render: Callable[[tuple[str, ...]], R], names: Sequence[str] | None = None,
+) -> Iterator[Iterator[R]]:
     """Per character of ``_block_stream(tree, k)``, ``render`` of each
-    block's label tuple, in canonical block order (by smallest taxon id).
-    Each yielded iterator is valid until the next one is requested, and
+    block's tuple of taxon names, in canonical block order (by smallest
+    taxon id).  ``names`` gives each taxon id's name, ``tree.labels`` by
+    default, so a caller can encode every label once per tree.  Each
+    yielded iterator is valid until the next one is requested, and
     ``render`` must return truthy values.
 
     One slot per taxon id holds the rendering of the block whose smallest
     taxon it is, or None, so a character clears the slots of the blocks it
     dropped, fills those of the blocks it added, and its line is the slots
-    that are set.  Each slot also keeps the last block rendered into it, so
-    a block that comes back is not rendered again.
+    that are set.  A memo by block mask keeps renderings for the stream's
+    life, in two generations of at most 4n entries each: a block enters
+    the fresh one, a full fresh generation replaces the old one, and a hit
+    in the old one moves back to the fresh one.  A block that comes back
+    while it is still held is not rendered again, and the memo never holds
+    more than 8n renderings, whatever the number of distinct blocks.
     """
-    labels = tree.labels
+    names = tree.labels if names is None else names
     slots: list[R | None] = [None] * tree.n
-    held = [0] * tree.n
-    rendering: list[R | None] = [None] * tree.n
+    size = 4 * tree.n
+    fresh: dict[int, R] = {}
+    old: dict[int, R] = {}
     for _, dropped, added in _block_stream(tree, k):
         for bm in dropped:
             slots[(bm & -bm).bit_length() - 1] = None
         for bm in added:
-            i = (bm & -bm).bit_length() - 1
-            if held[i] != bm:
-                held[i], rendering[i] = bm, render(_decode(labels, bm))
-            slots[i] = rendering[i]
+            r = fresh.get(bm)
+            if r is None:
+                r = old.pop(bm, None) or render(_decode(names, bm))
+                if len(fresh) >= size:
+                    old, fresh = fresh, {}
+                fresh[bm] = r
+            slots[(bm & -bm).bit_length() - 1] = r
         yield filter(None, slots)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable
 
 from .bench import FAMILIES, run_bench
 from .characters import _rendered
@@ -85,22 +86,33 @@ def _cmd_count(args) -> int:
     return EXIT_OK
 
 
-def _json_line(blocks: list[str]) -> str:
-    return "[" + ", ".join(blocks) + "]"
+def _json_line(items: Iterable[str]) -> str:
+    """The JSON array of already encoded items, as default ``json.dumps``
+    writes it."""
+    return "[" + ", ".join(items) + "]"
+
+
+def _discard(text: str) -> None:
+    """Stand-in write for a closed stdout (``sys.stdout`` is None), which
+    drops the text as ``print`` does."""
 
 
 def _cmd_list(args) -> int:
-    # Byte-identical to Character.text() and json.dumps(Character.to_lists()).
+    # Byte-identical to Character.text() and json.dumps(Character.to_lists()):
+    # a JSON block is _json_line of its encoded labels, a JSON line the
+    # _json_line of its blocks.  One write per line.
+    write = _discard if sys.stdout is None else sys.stdout.write
     if args.format == "json":
-        render, line = json.dumps, _json_line
+        render, start, sep, end = _json_line, "[", ", ", "]\n"
     else:
-        render, line = ",".join, "|".join
+        render, start, sep, end = ",".join, "", "|", "\n"
     emitted = 0
     for _, tree in _read_trees(args.tree_file):
-        for blocks in _rendered(tree, args.k, render):
+        names = tuple(map(json.dumps, tree.labels)) if args.format == "json" else tree.labels
+        for blocks in _rendered(tree, args.k, render, names):
             if args.limit is not None and emitted >= args.limit:
                 return EXIT_TRUNCATED
-            print(line(blocks))
+            write(start + sep.join(blocks) + end)
             emitted += 1
     return EXIT_OK
 

@@ -270,6 +270,25 @@ class TestCli:
         assert main(["solve", "-"]) == 0
         assert json.loads(capsys.readouterr().out)["objective_value"] == 1
 
+    def test_closed_stdout_drops_output(self, tmp_path, capsys, monkeypatch):
+        """With ``sys.stdout`` None, as in a process started with fd 1
+        closed, ``count``, ``list`` and ``solve`` drop their output as
+        ``print`` does: no exception, the usual exit code."""
+        path = self.write_tree(tmp_path)
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({"trees": [EXAMPLE, EXAMPLE], "k": 2,
+                                    "mode": "agreement_forest_min_components"}))
+        monkeypatch.setattr("sys.stdout", None)
+        for argv, code in (
+            (["count", path, "-k", "2"], 0),
+            (["list", path, "-k", "2"], 0),
+            (["list", path, "-k", "2", "--format", "json"], 0),
+            (["list", path, "-k", "2", "--limit", "3"], 3),
+            (["solve", str(inst)], 0),
+        ):
+            assert main(argv) == code, argv
+        assert capsys.readouterr().err == ""
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["count"]) == 2
         assert main(["nonsense"]) == 2

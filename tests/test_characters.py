@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from convchar import (
     stream_encoding,
 )
 from convchar.bruteforce import _convex
+from convchar.characters import _block_stream, _rendered
 from convchar.verify import enumeration_consistency
 
 
@@ -70,6 +72,27 @@ class TestCharacter:
             Character([])
         with pytest.raises(ValueError):
             Character([[]])
+
+    @pytest.mark.parametrize("make", [
+        lambda: Character.parse("a||b"),
+        lambda: Character.parse("a,,b|c"),
+        lambda: Character.parse("|"),
+        lambda: Character([[""]]),
+        lambda: Character([["a"], ["b", ""]]),
+        lambda: Character([["a", 1]]),
+        lambda: Character([[None]]),
+    ])
+    def test_rejects_empty_and_non_string_taxa(self, make):
+        with pytest.raises(ValueError, match="^taxon labels must be non-empty strings$"):
+            make()
+
+    def test_names_a_taxon_repeated_in_one_block(self):
+        with pytest.raises(ValueError, match="^taxon 'a' appears twice in one block$"):
+            Character([["a", "b", "a"]])
+        with pytest.raises(ValueError, match="^taxon 'a' appears twice in one block$"):
+            Character.parse("a,a|b")
+        with pytest.raises(ValueError, match="^taxon 'a' appears in two blocks$"):
+            Character([["b", "a"], ["a"]])
 
     def test_equality_and_hash(self):
         assert Character([["b"], ["a"]]) == Character([["a"], ["b"]])
@@ -178,3 +201,62 @@ class TestEnumeration:
         }
         assert got == want
         assert len(got) == brute_count(t, k)
+
+
+def listed_lines(tree, k, lines=None):
+    """Per character of a ``_rendered`` listing, the number of ``render``
+    calls made so far; the line's text is checked against the block stream."""
+    calls = 0
+
+    def render(names):
+        nonlocal calls
+        calls += 1
+        return ",".join(names)
+
+    rendered = _rendered(tree, k, render)
+    for blocks, (masks, _, _) in zip(itertools.islice(rendered, lines), _block_stream(tree, k)):
+        want = sorted(masks, key=lambda m: m & -m)
+        assert "|".join(blocks) == "|".join(",".join(sorted(tree._labels_of(m))) for m in want)
+        yield calls
+
+
+class TestRendering:
+    def test_names_replace_the_labels(self):
+        t = random_tree(9, seed=3)
+        names = [f"<{label}>" for label in t.labels]
+        got = ["|".join(blocks) for blocks in _rendered(t, 2, ",".join, names)]
+        want = [
+            "|".join(",".join(f"<{label}>" for label in b) for b in ch.blocks)
+            for ch in enumerate_convex(t, 2)
+        ]
+        assert got == want and len(got) == count_convex(t, 2)
+
+    @pytest.mark.parametrize("tree, k, lines, per_line", [
+        (caterpillar(36), 4, 16493, 0.15),
+        (random_tree(20, seed=7), 2, 4181, 0.5),
+        (random_tree(12, seed=2), 1, 28657, 0.5),  # more distinct blocks than the memo holds
+    ])
+    def test_each_block_is_rendered_about_once(self, tree, k, lines, per_line):
+        """A block that comes back while the stream's memo holds it is not
+        rendered again: render calls per line stay low, and the text is
+        the block stream's whatever the memo keeps."""
+        counts = list(listed_lines(tree, k))
+        assert len(counts) == lines
+        assert counts[-1] <= per_line * lines
+
+    def test_a_k1_listing_stays_in_bounded_memory(self):
+        """The memo holds at most 8n renderings, however many distinct
+        blocks come by: the traced peak of a whole k = 1 listing stays
+        within 1.5 times the peak over its first 2 000 lines."""
+        for tree in (random_tree(13, seed=1), caterpillar(13)):
+            tracemalloc.start()
+            try:
+                for i, blocks in enumerate(_rendered(tree, 1, ",".join), 1):
+                    "|".join(blocks)
+                    if i == 2000:
+                        first = tracemalloc.get_traced_memory()[1]
+                whole = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert i == 75025
+            assert whole <= 1.5 * first, (tree.canonical_newick(), first, whole)
