@@ -22,19 +22,17 @@ not the depth of the tree.  A subtree that the allowed state of its edge
 leaves with exactly one completion (the DP's count is 1) is walked at most
 twice per stream, the second time to record its blocks, and from then on
 spliced in whole, like a leaf.  A solver may prune the stream with an
-``accept`` hook that sees each block as it joins a character, and with a
+upward-closed ``check``, which sees each block while it is open, wherever
+two open blocks merge, and again as it joins a character, and with a
 block limit: a rejected block ends every character below the last choice
-point, none of them drawn, and the limit also cuts a branch at its choice
-point, before the walk enters it, once the blocks closed so far and the
-counting DP's fewest blocks below the branch and its pending steps
-(``counting._least_blocks``) reach it.  A hook that is upward-closed, one
-that rejects every superset of a block it rejects, at that depth or any
-later one, may also be passed as the predicate ``grows``, which sees a
-block while it is still open, wherever two open blocks merge: a block
-bound to fail then ends the walk where it first fails, before the walk
-enters the subtrees above it.  Listing passes none of them and pays one
-test per walk and per choice point for them; the predicate's tests share
-lines with the steps they guard, so it costs listing no line.  ``trees._decode``
+point, none of them drawn, and a block bound to fail ends the walk where
+it first fails, before the walk enters the subtrees above it.  The limit
+also cuts a branch at its choice point once the blocks closed so far and
+the fewest blocks below the branch and its pending steps reach it, floors
+that the stream builds from its own options by the DP's edge rule in
+min-plus form.  Listing passes neither and pays one test per walk and per
+choice point for them; the check's tests on open blocks share lines with
+the steps they guard, so they cost listing no line.  ``trees._decode``
 is the one way back to labels: ``_rendered``, for ``enumerate_convex`` and
 the CLI's ``list``, looks up each block a character adds in a memo by mask
 that lives as long as the stream and holds at most 8n renderings, renders
@@ -50,7 +48,7 @@ from functools import cache
 from itertools import compress
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .counting import _dp_tables, _joined_children, _least_blocks, _partners
+from .counting import _dp_tables, _joined_children, _partners
 from .trees import Tree, _decode
 
 R = TypeVar("R")
@@ -214,17 +212,12 @@ def parsimony_score(tree: Tree, f) -> int:
 
 
 class _Rejected(Exception):
-    """A block failed the block stream's ``accept`` hook, its ``grows``
-    predicate or its block limit."""
-
-
-def _anything(block: int, depth: int) -> bool:
-    return True
+    """A block failed the block stream's ``check`` or its block limit."""
 
 
 def _block_stream(
-    tree: Tree, k: int, accept: Callable[[int, int], bool] | None = None,
-    limit: list[int] | None = None, grows: Callable[[int, int], bool] | None = None,
+    tree: Tree, k: int, check: Callable[[int, int], bool] | None = None,
+    limit: list[int] | None = None,
 ) -> Iterator[tuple[list[int], list[int], list[int]]]:
     """Every convex character of ``tree`` with min block size >= k, in
     stream order (see enumerate_convex), as ``(live, dropped, added)``: the
@@ -254,54 +247,52 @@ def _block_stream(
     pending step whose continuation is known to be unchanged: from there on
     the previous character's blocks come back as they were.
 
-    With ``accept``, every block about to join the live list, as it
-    closes, as part of a ``collapse`` record or spliced back, first goes
-    to ``accept(block, depth)``, depth being its index in the list, so the
-    hook sees each live list grow in order and may keep state per depth.
-    A rejection ends every character below the last choice point, all of
-    which hold the block: the stream pops to that point without yielding,
-    and ``dropped`` and ``added`` stay relative to the last character it
-    yielded.  Without a hook the live list's own methods append.
-
-    ``grows(mask, depth)`` must be upward-closed: when it rejects a mask,
-    it and ``accept`` reject every superset of the mask at that depth and
-    every later one, after the same blocks.  The stream offers it an open
-    block's taxa as the block grows, at depth ``len(blocks)``: where an
-    open f and an open g merge under an open edge, and where a spliced
-    ``collapse`` record leaves two open taxa or more.  The block they end
-    in holds them and closes at that depth or later, after the same
-    blocks, so a rejection there, raised as at a close (the splice records
-    need no new rule), ends the walk before it enters the sibling subtrees
-    above.  Each open child then leaves one entry on the chain, a merge
-    folding its two into one, so a merge reads two entries; chains are
-    persistent, so the saved choice points stay valid.  Without ``grows``
-    nothing is folded, and its tests share lines with the steps they
-    guard, so listing runs no extra line for it.
+    ``check(mask, depth)`` must be upward-closed: when it rejects a mask,
+    it rejects every superset of the mask at that depth and every later
+    one, after the same blocks.  The stream offers it every block about to
+    join the live list, as it closes, as part of a ``collapse`` record or
+    spliced back, depth being its index in the list, so the check sees
+    each live list grow in order and may keep state per depth.  It also
+    offers an open block's taxa while they are still growing, at depth
+    ``len(blocks)``: where an open f and an open g merge under an open
+    edge, and where a spliced ``collapse`` record leaves two open taxa or
+    more.  The block they end in holds them and joins at that depth or
+    later, after the same blocks, so a rejection there, raised as at a
+    close (the splice records need no new rule), ends the walk before it
+    enters the sibling subtrees above.  Each open child then leaves one
+    entry on the chain, a merge folding its two into one, so a merge reads
+    two entries; chains are persistent, so the saved choice points stay
+    valid.  A rejection ends every character below the last choice point,
+    all of which hold the block: the stream pops to that point without
+    yielding, and ``dropped`` and ``added`` stay relative to the last
+    character it yielded.  Without a check nothing is folded or called.
 
     ``limit``, a one-item list, holds the least block count that no
     character may reach, n + 1 when it is not given (no limit); the caller
-    may lower it between characters, and a limit alone brings a hook that
-    accepts every block.  Below n + 1 it prunes in two places.  A block
-    is rejected as it joins the live list when its index d already means
-    the limit: taxon 0's block closes last, so there are at least d + 1
-    blocks, d + 2 when the block misses taxon 0.  And an option is
+    may lower it between characters.  Below n + 1 it prunes in two places.
+    A block is rejected as it joins the live list when its index d already
+    means the limit: taxon 0's block closes last, so there are at least
+    d + 1 blocks, d + 2 when the block misses taxon 0.  And an option is
     rejected before the walk enters it, at a choice point as the walk
     pushes it or pops back to it, when the blocks closed so far, the
     fewest that the option closes at or below its vertex and the fewest
-    that the pending steps add (the DP's least block counts,
-    counting._least_blocks) reach the limit.
+    that the pending steps add reach the limit.  ``fewest`` is the edge
+    rule in min-plus form: an option adds its children's floors per state
+    (``least``), plus 1 where two open blocks reach k and close.  The
+    first test against a limit builds ``least`` for every vertex, children
+    first, as the least ``fewest`` over each state's options.  Listing,
+    with neither, joins blocks through the live list's own methods.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     n = tree.n
     if n < k:
         return
+    pruned = check is not None or limit is not None
     if limit is None:
         limit = [n + 1]  # no character has more than n blocks
-    elif accept is None:
-        accept = _anything
     if n == 1:
-        if limit[0] > 1 and (accept is None or accept(1, 0)):
+        if limit[0] > 1 and (check is None or check(1, 0)):
             yield [1], [], [1]
         return
     children = _joined_children(tree)
@@ -405,10 +396,8 @@ def _block_stream(
     ends: list[list[int | None] | None] = [None] * len(children)
     kept, tail, spliced, end = 0, [], 0, [None]
     append, extend = blocks.append, blocks.extend
-    if accept is not None:
-        @cache  # lives as long as this stream, from the first limit below n + 1 on
-        def least() -> list[tuple[int | None, ...]]:
-            return _least_blocks(tree, k)
+    if pruned:
+        least: list[tuple[int | None, ...]] = []  # None outside the support
 
         @cache  # lives as long as this stream
         def fewest(v: int, S: int, c: int) -> tuple[int, int]:
@@ -416,7 +405,7 @@ def _block_stream(
             case c on, when v's edge is in S, and the fewest of them that
             close outside f's subtree: in g's or at v."""
             S_f, (g, g_allowed, _, _, _), _ = option(v, S, c)
-            least_f, least_g = least()[children[v][0]], least()[g]
+            least_f, least_g = least[children[v][0]], least[g]
             own = rest = n  # no option closes more
             for j1 in range(len(least_f)):
                 G = g_allowed[j1] if S_f >> j1 & 1 else 0
@@ -434,6 +423,17 @@ def _block_stream(
             ``cont``, has at least ``limit[0]`` blocks.  Chains of pending
             steps share their tails, so a sum stops at the chain summed
             last."""
+            if not least:  # a leaf's edge is cut as a singleton (k = 1) or open
+                least[:] = [(1 if k == 1 else None, 0)] * len(children)
+                for u in (*range(len(children) - 2, n - 1, -1), len(children) - 1):
+                    floors = []
+                    for s in range(support[u].bit_length()):
+                        own, case = [], 0 if support[u] >> s & 1 else -1
+                        while case >= 0:  # each option of state s
+                            own.append(fewest(u, 1 << s, case)[0])
+                            case = option(u, 1 << s, case)[2]
+                        floors.append(min(own, default=None))
+                    least[u] = tuple(floors)
             total, chain = 0, cont
             while chain is not None and chain is not summed[0]:
                 step, chain = chain
@@ -448,7 +448,8 @@ def _block_stream(
             return closed + fewest(v, S, c)[0] + total >= limit[0]
 
         def append(block: int) -> None:  # at least len(blocks) + 1 + (not block & 1) blocks
-            if len(blocks) + 2 - (block & 1) >= limit[0] or not accept(block, len(blocks)):
+            if len(blocks) + 2 - (block & 1) >= limit[0] or (
+                    check is not None and not check(block, len(blocks))):
                 raise _Rejected
             blocks.append(block)
 
@@ -471,8 +472,8 @@ def _block_stream(
                             closed, state, m = collapse(v, S)
                             extend(closed)
                             start, opened = opened, (m, opened) if state else opened
-                            if grows is None or not m & m - 1: break  # under two open taxa
-                            if not grows(m, len(blocks)):
+                            if check is None or not m & m - 1: break  # under two open taxa
+                            if not check(m, len(blocks)):
                                 raise _Rejected
                             break
                         entered[v] |= S
@@ -498,12 +499,12 @@ def _block_stream(
                     (start, j1, S_u, g), cont = cont
                     if state:  # an open g: v's edge is cut (S_u = {0}) or open at the sum
                         state = (state + j1 if state + j1 < k else k) if S_u != 1 else 0
-                        if grows is None or not j1 or not state: continue  # none grows here
+                        if check is None or not j1 or not state: continue  # no merge here
                         # f's and g's open blocks merge and stay open.  Each is one
                         # entry, as every merge below folded its own: fold them too.
                         x, (y, _) = opened
                         opened = (x | y, start)
-                        if not grows(x | y, len(blocks)):
+                        if not check(x | y, len(blocks)):
                             raise _Rejected
                         continue
                     last = ends[g]

@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from collections.abc import Iterable
+from json.encoder import encode_basestring_ascii
 
 from .bench import FAMILIES, run_bench
 from .characters import _rendered
@@ -99,7 +100,8 @@ def _discard(text: str) -> None:
 
 def _cmd_list(args) -> int:
     # Byte-identical to Character.text() and json.dumps(Character.to_lists()):
-    # a JSON block is _json_line of its encoded labels, a JSON line the
+    # a label is encoded by the C function json.dumps calls for a str, a
+    # JSON block is _json_line of its encoded labels, a JSON line the
     # _json_line of its blocks.  One write per line.
     write = _discard if sys.stdout is None else sys.stdout.write
     if args.format == "json":
@@ -108,7 +110,9 @@ def _cmd_list(args) -> int:
         render, start, sep, end = ",".join, "", "|", "\n"
     emitted = 0
     for _, tree in _read_trees(args.tree_file):
-        names = tuple(map(json.dumps, tree.labels)) if args.format == "json" else tree.labels
+        names = tree.labels
+        if args.format == "json":
+            names = tuple(map(encode_basestring_ascii, names))
         for blocks in _rendered(tree, args.k, render, names):
             if args.limit is not None and emitted >= args.limit:
                 return EXIT_TRUNCATED
@@ -190,8 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a tree family member as canonical Newick")
     p.add_argument("family", choices=("caterpillar", "fully_loaded", "random"))
-    p.add_argument("n", type=int)
-    p.add_argument("--k", type=int, default=None, help="block parameter for fully_loaded")
+    p.add_argument("n", type=_int_at_least(1))
+    p.add_argument("--k", type=_int_at_least(2), default=None,
+                   help="block parameter for fully_loaded")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_gen)
 

@@ -13,12 +13,12 @@ put the edge above them in state min(j1 + j2, k), as a cut child passes the
 other's state up and two open blocks merge; when both were open and the sum
 reaches k, the block may also close, state 0.  :func:`_dp_tables` applies it
 to whole vectors, :func:`_partners` in mask form for the enumeration, and
-:func:`_join` pointwise, as the tests' reference and in min-plus form
-(:func:`_least_blocks`): the fewest blocks that close below each edge
-state, a floor on the block count of every character below a choice point
-that the pruned scans of ``solvers`` cut at.  Vectors stop at
-min(k, taxa below), so the DP's big-int work is O(n * k) by the subtree-size
-argument.
+:func:`_join` pointwise, as the tests' reference.  The block stream of
+``characters`` also applies it per option in min-plus form, for the
+fewest blocks that close below each edge state: a floor on the block
+count of every character below a choice point, where the pruned scans of
+``solvers`` cut.  Vectors stop at min(k, taxa below), so the DP's big-int
+work is O(n * k) by the subtree-size argument.
 """
 
 from __future__ import annotations
@@ -72,8 +72,7 @@ def count_closed_k2(n: int) -> int:
 def _join(j1: int, j2: int, k: int) -> tuple[int, ...]:
     """States of the edge above a vertex whose child edges are in states
     ``j1`` and ``j2``, by the edge rule (module docstring): the pointwise
-    reference the tests hold the DP and :func:`_partners` to, and the rule
-    :func:`_least_blocks` applies."""
+    reference the tests hold the DP and :func:`_partners` to."""
     if not (j1 and j2):
         return (j1 + j2,)
     s = min(j1 + j2, k)
@@ -148,41 +147,6 @@ def _dp_tables(tree: Tree, k: int) -> Iterator[tuple[int, Sequence[int]]]:
                     vec[0] -= vf[k] * vg[0]
         vecs[v] = vec
         yield v, vec
-
-
-def _least_blocks(tree: Tree, k: int) -> list[tuple[int | None, ...]]:
-    """The edge rule (module docstring) in min-plus form, for a lower bound
-    on the block count of every character below a choice point.
-
-    ``least[v][s]`` is the fewest blocks that close at or below v over the
-    partial solutions with the edge above v in state s, and None where the
-    DP's count is 0.  Vectors are as long as :func:`_dp_tables`' and
-    indexed by vertex, the top vertex (see _joined_children) last, so
-    ``least[-1][0]`` is the fewest blocks of any character, None when there
-    is none.  A leaf costs 0 open and 1 as a singleton block (k == 1); a
-    join adds its children's costs, plus 1 when two open blocks reach k and
-    close.
-    """
-    leaf = (1 if k == 1 else None, 0)
-    n = tree.n
-    if n == 1:
-        return [leaf]
-    children = _joined_children(tree)
-    top = len(children) - 1
-    least: list = [leaf] * n + [None] * (top + 1 - n)
-    for v in (*range(top - 1, n - 1, -1), top):  # children first
-        vf, vg = (least[c] for c in children[v])
-        vec: list[int | None] = [None] * (min(len(vf) + len(vg) - 2, k) + 1)
-        for j1, x in enumerate(vf):
-            for j2, y in enumerate(vg):
-                if x is None or y is None:
-                    continue
-                for s in _join(j1, j2, k):
-                    cost = x + y + (s == 0 and j1 > 0 and j2 > 0)
-                    if vec[s] is None or cost < vec[s]:
-                        vec[s] = cost
-        least[v] = tuple(vec)
-    return least
 
 
 def count_convex(tree: Tree, k: int = 1) -> int:

@@ -14,21 +14,21 @@ on the value of every character with at least b blocks, and whenever the
 incumbent improves ``_scan`` turns it into the stream's limit, the least
 block count whose characters cannot beat the incumbent.  The stream
 applies the limit at each choice point before it walks in, against the
-blocks closed so far plus the DP's fewest blocks below the option and its
-pending steps (``counting._least_blocks``), and to each block as it
-closes.  Agreement's value is its block count, so its floor is b and its
-limit the incumbent; its block check (:func:`_agreeing_blocks`), the
-stream's ``accept`` hook, also rejects a block that restricts differently
+blocks closed so far plus the fewest blocks below the option and its
+pending steps, floors it builds from its own options, and to each block
+as it closes.  Agreement's value is its block count, so its floor is b
+and its limit the incumbent.  Its block check (:func:`_agreeing_blocks`),
+the stream's ``check``, also rejects a block that restricts differently
 in the trees or whose spanning subtree in the second tree meets that of a
-block before it.  Both tests are upward-closed: a superset of a failing
-block restricts differently too, its restriction restricting to the
-block's, and its spanning subtree holds the block's, while the blocks
-before it stay live until it closes.  So the check is also the stream's
-``grows`` predicate, and a block bound to fail is rejected where two open
-blocks merge into it, before the walk enters the subtrees above.  A check
-on a growing block at depth d rewrites the check's edge record past d,
-which the next block accepted at depth d rewrites before it is read (see
-:func:`_agreeing_blocks`).
+block before it.  Both tests are upward-closed, as the stream requires: a
+superset of a failing block restricts differently too, its restriction
+restricting to the block's, and its spanning subtree holds the block's,
+while the blocks before it stay live until it closes.  So the stream
+also offers the check each block while it is open, and a block bound to
+fail is rejected where two open blocks merge into it, before the walk
+enters the subtrees above.  A check on an open block at depth d rewrites
+the check's edge record past d, which the next block accepted at depth d
+rewrites before it is read (see :func:`_agreeing_blocks`).
 
 The objective's floor is the Fitch floor, b - 1 per tree: b blocks score
 at least b - 1 on every tree, with equality exactly when the partition is
@@ -185,15 +185,15 @@ def _agreeing_blocks(trees: Sequence[Tree]) -> Callable[[int, int], bool]:
     ``used[d]`` holds the edges of the blocks before depth d, so accepting
     a block cuts ``used`` back to its depth and no undo log is needed.
 
-    The scan also passes ``check`` as the stream's ``grows`` predicate, on
-    the open taxa of a block at depth d, the number of live blocks.  It
-    reads ``used[d]``, the edges of those blocks, and answers as for a
-    closing block; when it accepts, it also rewrites ``used[d + 1]`` with
-    the edges of a block that is not live.  Nothing reads that entry
-    first: the stream asks at depth d + 1 only once a block has joined the
-    live list at depth d, and that block's call rewrites ``used[d + 1]``.
-    Nor does it touch ``used[d]`` or below: every call of a walk is at a
-    depth no less than the live blocks the walk restarted with.
+    The stream also calls ``check`` on the open taxa of a block at depth
+    d, the number of live blocks.  It reads ``used[d]``, the edges of
+    those blocks, and answers as for a closing block; when it accepts, it
+    also rewrites ``used[d + 1]`` with the edges of a block that is not
+    live.  Nothing reads that entry first: the stream asks at depth d + 1
+    only once a block has joined the live list at depth d, and that
+    block's call rewrites ``used[d + 1]``.  Nor does it touch ``used[d]``
+    or below: every call of a walk is at a depth no less than the live
+    blocks the walk restarted with.
     """
     first, rest = trees[0], trees[1:]
     memo: dict[int, int] = {}
@@ -241,7 +241,8 @@ def _scan(
     at least b blocks, the scan prunes the stream (see
     characters._block_stream): each new incumbent sets the stream's limit
     to the least b whose floor reaches it, and every block the limit
-    leaves goes on to ``check(block, depth)``, if given.  A pruned scan
+    leaves goes on to ``check(block, depth)``, if given, which must be
+    upward-closed and also sees each block while it is open.  A pruned scan
     still decides every character, so it reports ``count_convex(tree, k)``
     as scanned; otherwise that is the number of characters drawn.
     """
@@ -250,7 +251,7 @@ def _scan(
     best_value: int | None = None
     scanned = 0
     limit = None if floor is None else [tree.n + 1]
-    for masks, _, _ in _block_stream(tree, k, check, limit, check):
+    for masks, _, _ in _block_stream(tree, k, check, limit):
         scanned += 1
         value = score(masks, best_value)
         if value is not None and (best_value is None or value < best_value):

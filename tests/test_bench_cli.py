@@ -175,6 +175,7 @@ class TestCli:
     def test_gen_fully_loaded_requires_k(self, capsys):
         assert main(["gen", "fully_loaded", "7"]) == 2
         assert main(["gen", "fully_loaded", "3", "--k", "4"]) == 1
+        assert main(["gen", "random", "2"]) == 1  # bounds of one family stay domain errors
 
     def test_rate_table(self, capsys):
         assert main(["rate", "--kmax", "3"]) == 0
@@ -306,6 +307,9 @@ class TestCli:
             ["rate", "--kmax", "0"],
             ["count", "-", "-k", "0"],
             ["list", "-", "-k", "-1"],
+            ["gen", "caterpillar", "0"],
+            ["gen", "random", "-3"],
+            ["gen", "fully_loaded", "7", "--k", "1"],
         ):
             assert main(argv) == 2, argv
             assert capsys.readouterr().out == "", argv

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convchar import (
-    all_topologies,
     brute_count,
     caterpillar,
     caterpillar_closed_k3,
@@ -13,7 +12,6 @@ from convchar import (
     count_closed_k1,
     count_closed_k2,
     count_convex,
-    default_labels,
     enumerate_convex,
     fibonacci,
     fibonacci_float_check,
@@ -25,7 +23,8 @@ from convchar import (
     rate_table_tsv,
     split_recurrence_holds,
 )
-from convchar.counting import _join, _least_blocks, _partners
+from convchar.characters import _block_stream
+from convchar.counting import _join, _partners
 from convchar.verify import (
     cherry_bound,
     closed_forms,
@@ -121,18 +120,30 @@ class TestEdgeRule:
                     assert _partners(J, S, k) == self.partners_by_join(J, S, k), (k, J, S)
 
 
+def stream_floors(tree, k):
+    """The block stream's floors, ``least``: per vertex and edge state, the
+    fewest blocks that close at or below it.  A limit of n tests the limit
+    at once, which builds them, and the one-block character is below it,
+    so the first ``next`` pauses the stream with them in its frame.  Needs
+    2 <= n and k <= n."""
+    stream = _block_stream(tree, k, None, [tree.n])
+    next(stream)
+    return stream.gi_frame.f_locals["least"]
+
+
 class TestLeastBlocks:
-    """``_least_blocks``, the edge rule in min-plus form, against the
-    characters themselves."""
+    """The block stream's floors, the edge rule in min-plus form, against
+    the characters themselves."""
 
     def test_top_is_the_fewest_blocks_of_any_character(self):
-        """Every topology on up to 7 taxa (the 10 395 on 8 add some 80 s of
-        enumeration)."""
-        for n in range(1, 8):
-            for tree in all_topologies(default_labels(n)):
-                for k in range(1, 5):
-                    want = min((c.block_count for c in enumerate_convex(tree, k)), default=None)
-                    assert _least_blocks(tree, k)[-1][0] == want, (tree.canonical_newick(), k)
+        """The one-block character always exists, so the top vertex's floor
+        with its edge cut is 1 for every k <= n; for k > n the stream is
+        empty."""
+        trees = [caterpillar(n) for n in range(2, 14)]
+        for tree in trees + [random_tree(n, seed=n) for n in range(3, 14)]:
+            for k in range(1, tree.n + 1):
+                assert stream_floors(tree, k)[-1][0] == 1, (tree.canonical_newick(), k)
+            assert list(_block_stream(tree, tree.n + 1, None, [tree.n])) == []
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(2, 9), seed=st.integers(0, 2**32))
@@ -144,11 +155,12 @@ class TestLeastBlocks:
         block minus x open on v's edge (state 0 when x is alone)."""
         tree = random_tree(n, seed=seed) if n >= 3 else caterpillar(n)
         labels, below = tree.labels, tree._below()
+        floors = {k: stream_floors(tree, k) for k in range(1, min(n, 4) + 1)}  # empty for k > n
         for v in range(1, tree.num_vertices()):
             inside = [labels[i] for i in range(n) if below[v] >> i & 1]
             x = labels[0]
             characters = list(enumerate_convex(tree.restrict(inside + [x]), 1))
-            for k in range(1, 5):
+            for k, least in floors.items():
                 want = [None] * (min(len(inside), k) + 1)
                 for ch in characters:
                     (open_block,) = (b for b in ch.blocks if x in b)
@@ -157,7 +169,7 @@ class TestLeastBlocks:
                         s = min(len(open_block) - 1, k)
                         if want[s] is None or len(closed) < want[s]:
                             want[s] = len(closed)
-                assert list(_least_blocks(tree, k)[v]) == want, (v, k)
+                assert list(least[v]) == want, (v, k)
 
 
 class TestClosedForms:

@@ -335,10 +335,10 @@ def spans_meet(tree, a, b):
 
 
 class TestAgreeingBlocks:
-    """The agreement block check alone, as a stream calls it: a block as it
-    closes at depth d, after the blocks accepted at depths 0..d-1, and a
-    block as it grows at depth d, which joins no list, so the next call is
-    again at depth d or less."""
+    """The agreement block check alone, as the stream calls its one check:
+    a block as it closes at depth d, after the blocks accepted at depths
+    0..d-1, and an open block at depth d, which joins no list, so the next
+    call is again at depth d or less."""
 
     @settings(max_examples=150, deadline=None)
     @given(pair=tree_pairs(), data=st.data())

@@ -4,12 +4,13 @@
 started splicing back the unchanged part of the previous character: every
 character rebuilt by climbing all pending steps up to the top vertex.  It
 is kept verbatim, as the judge of the order and content of
-``characters._block_stream``, with its ``accept`` hook too: the hooked
-stream is the oracle's without every character that holds a rejected
-block, and an upward-closed hook passed as the ``grows`` predicate too
-changes nothing more.  The work gates count the line events of the code in
-``characters.py`` with ``line_events`` (``conftest.py``), helpers nested
-in the stream included, so the library carries no counter for them.
+``characters._block_stream``, with its ``check`` too: the checked stream
+is the oracle's without every character that holds a rejected block, and
+as the check is upward-closed, offering it the blocks while they are
+still open changes nothing more.  The work gates count the line events of
+the code in ``characters.py`` with ``line_events`` (``conftest.py``),
+helpers nested in the stream included, so the library carries no counter
+for them.
 """
 
 import random
@@ -120,32 +121,30 @@ def oracle_stream(tree: Tree, k: int) -> Iterator[tuple[int, ...]]:
         del blocks[kept:]
 
 
-def assert_same_stream(tree, k, cap=CAP, rejects=None, limit=None, grows=False):
+def assert_same_stream(tree, k, cap=CAP, rejects=None, limit=None):
     """Same characters in the same order, and every delta consistent:
     the dropped blocks were in the previous character, and the previous
     character without them, plus the added blocks, is the current one.
 
-    With ``rejects(block, depth)``, the stream's hook rejects those blocks
-    and the oracle loses every character that holds one.  The hook also
-    keeps the blocks it accepted per depth, which must be the live list
-    at every character: it sees each live list grow in order.  With
-    ``grows``, ``rejects`` must be upward-closed, and the stream gets it
-    as its ``grows`` predicate too, which must change nothing; a growing
-    block is asked about at a depth no greater than the blocks accepted.
-    With a block ``limit``, the oracle loses every character with that
-    many blocks or more.
+    With ``rejects(block, depth)``, which must be upward-closed, the
+    stream's check rejects those blocks and the oracle loses every
+    character that holds one.  The check also keeps the blocks it accepted
+    per depth, which must be the live list at every character: it sees
+    each live list grow in order, and an open block at a depth no greater
+    than the blocks accepted.  With a block ``limit``, the oracle loses
+    every character with that many blocks or more.
 
     Exactly one live block holds taxon 0, and it is the last: the solvers'
     block-count bound rests on this."""
     want_stream = oracle_stream(tree, k)
     if limit is not None:
         want_stream = (c for c in want_stream if len(c) < limit)
-    accept = predicate = None
+    check = None
     if rejects is not None:
         want_stream = (c for c in want_stream if not any(map(rejects, c, range(len(c)))))
         accepted = []
 
-        def accept(block, depth):
+        def check(block, depth):
             assert depth <= len(accepted)
             del accepted[depth:]
             if rejects(block, depth):
@@ -153,15 +152,10 @@ def assert_same_stream(tree, k, cap=CAP, rejects=None, limit=None, grows=False):
             accepted.append(block)
             return True
 
-        if grows:
-            def predicate(block, depth):
-                assert depth <= len(accepted)
-                return not rejects(block, depth)
-
     previous: Counter = Counter()
     for index, (want, got) in enumerate(zip_longest(
         islice(want_stream, cap),
-        islice(_block_stream(tree, k, accept, None if limit is None else [limit], predicate), cap),
+        islice(_block_stream(tree, k, check, None if limit is None else [limit]), cap),
     )):
         assert want is not None and got is not None, index
         live, dropped, added = got
@@ -233,41 +227,9 @@ def test_caterpillars_with_large_blocks_match_oracle(n, data):
     assert_same_stream(caterpillar(n), k)
 
 
-def salted_rejects(salt, depth_cap):
-    """Rejects a block at or beyond ``depth_cap`` and about one block mask
-    in five, picked by ``salt``."""
-    return lambda block, depth: depth >= depth_cap or hash((block, salt)) % 5 == 0
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    n=st.integers(3, 12), k=st.integers(1, 4), seed=st.integers(0, 2**32),
-    salt=st.integers(0, 2**32), depth_cap=st.integers(1, 12),
-)
-def test_filtering_hook_removes_rejected_prefixes(n, k, seed, salt, depth_cap):
-    assert_same_stream(random_tree(n, seed=seed), k, rejects=salted_rejects(salt, depth_cap))
-
-
-@settings(max_examples=12, deadline=None)
-@given(
-    n=st.integers(8, 24), load=st.integers(2, 5), salt=st.integers(0, 2**32),
-    depth_cap=st.integers(1, 12), data=st.data(),
-)
-def test_filtering_hook_on_spliced_subtrees(n, load, salt, depth_cap, data):
-    """Rejections among forced subtrees spliced in whole, and among blocks
-    spliced back from the previous character."""
-    k = data.draw(st.integers(2, load), label="k")
-    assert_same_stream(fully_loaded(n, load), k, 3000, salted_rejects(salt, depth_cap))
-
-
-def any_tree(n, seed):
-    return random_tree(n, seed=seed) if n >= 3 else caterpillar(n)
-
-
-# An upward-closed predicate on growing blocks: it rejects a block at or
-# beyond a depth cap, or one that holds both taxa of a salted pair, and so
-# every larger block at every later depth too.  Passed as both hook and
-# predicate, it must leave the stream of the hook alone.
+# An upward-closed check: it rejects a block at or beyond a depth cap, or
+# one that holds both taxa of a salted pair, and so every larger block at
+# every later depth too.
 
 def salted_pairs(n, salt):
     """One to three pairs of taxon ids, as masks, picked by ``salt``."""
@@ -284,9 +246,9 @@ def paired_rejects(pairs, depth_cap):
     n=st.integers(3, 12), k=st.integers(1, 4), seed=st.integers(0, 2**32),
     salt=st.integers(0, 2**32), depth_cap=st.integers(1, 12),
 )
-def test_growing_block_predicate_removes_rejected_prefixes(n, k, seed, salt, depth_cap):
+def test_filtering_hook_removes_rejected_prefixes(n, k, seed, salt, depth_cap):
     rejects = paired_rejects(salted_pairs(n, salt), depth_cap)
-    assert_same_stream(random_tree(n, seed=seed), k, rejects=rejects, grows=True)
+    assert_same_stream(random_tree(n, seed=seed), k, rejects=rejects)
 
 
 @settings(max_examples=12, deadline=None)
@@ -294,32 +256,27 @@ def test_growing_block_predicate_removes_rejected_prefixes(n, k, seed, salt, dep
     n=st.integers(8, 24), load=st.integers(2, 5), salt=st.integers(0, 2**32),
     depth_cap=st.integers(1, 12), data=st.data(),
 )
-def test_growing_block_predicate_on_spliced_subtrees(n, load, salt, depth_cap, data):
-    """Open taxa of forced subtrees spliced in whole go to the predicate."""
+def test_filtering_hook_on_spliced_subtrees(n, load, salt, depth_cap, data):
+    """Rejections among forced subtrees spliced in whole, their open taxa
+    included, and among blocks spliced back from the previous character."""
     k = data.draw(st.integers(2, load), label="k")
     rejects = paired_rejects(salted_pairs(n, salt), depth_cap)
-    assert_same_stream(fully_loaded(n, load), k, 3000, rejects, grows=True)
+    assert_same_stream(fully_loaded(n, load), k, 3000, rejects)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    n=st.integers(1, 12), k=st.integers(1, 4), seed=st.integers(0, 2**32),
-    limit=st.integers(1, 13), salt=st.integers(0, 2**32), depth_cap=st.integers(1, 12),
-)
-def test_growing_block_predicate_with_block_limit(n, k, seed, limit, salt, depth_cap):
-    rejects = paired_rejects(salted_pairs(n, salt), depth_cap)
-    assert_same_stream(any_tree(n, seed), k, 5000, rejects, limit, grows=True)
+def any_tree(n, seed):
+    return random_tree(n, seed=seed) if n >= 3 else caterpillar(n)
 
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(4, 12), seed=st.integers(0, 2**32), salt=st.integers(0, 2**32))
 def test_growing_blocks_are_cut_where_they_first_fail(n, seed, salt):
-    """The predicate sees each open block whole where two open blocks
-    merge, so no block goes on past a salted pair: a block that holds one
-    reaches the hook only when the pair's taxa meet at the block's own
-    top vertex, where it closes at once.  At k = 1 no subtree is spliced
-    in whole, so every block the hook sees was built by merges the walk
-    made."""
+    """The check sees each open block whole where two open blocks merge,
+    so no block goes on past a salted pair: a block that holds one reaches
+    the check only when the pair's taxa meet at the block's own top
+    vertex, the merge there offering it at once.  At k = 1 no subtree is
+    spliced in whole, so every block the check sees was built by merges
+    the walk made."""
     tree = random_tree(n, seed=seed)
     pairs = salted_pairs(n, salt)
     rejects = paired_rejects(pairs, n)
@@ -336,12 +293,11 @@ def test_growing_blocks_are_cut_where_they_first_fail(n, seed, salt):
 
     seen = []
 
-    def accept(block, depth):
+    def check(block, depth):
         seen.append(block)
         return not rejects(block, depth)
 
-    deque(_block_stream(tree, 1, accept, None, lambda block, depth: not rejects(block, depth)),
-          maxlen=0)
+    deque(_block_stream(tree, 1, check), maxlen=0)
     for block in seen:
         for pair in pairs:
             assert block & pair != pair or meet(pair) == meet(block), (block, pair)
@@ -363,7 +319,8 @@ def test_block_limit_removes_large_characters(n, k, seed, limit):
     limit=st.integers(1, 13), salt=st.integers(0, 2**32), depth_cap=st.integers(1, 12),
 )
 def test_block_limit_with_filtering_hook(n, k, seed, limit, salt, depth_cap):
-    assert_same_stream(any_tree(n, seed), k, 5000, salted_rejects(salt, depth_cap), limit)
+    rejects = paired_rejects(salted_pairs(n, salt), depth_cap)
+    assert_same_stream(any_tree(n, seed), k, 5000, rejects, limit)
 
 
 @settings(max_examples=20, deadline=None)
@@ -373,9 +330,9 @@ def test_block_limit_with_filtering_hook(n, k, seed, limit, salt, depth_cap):
 )
 def test_block_limit_on_spliced_subtrees(n, load, limit, salt, hooked, data):
     """Forced subtrees spliced in whole and blocks spliced back from the
-    previous character, under a limit, with or without a hook."""
+    previous character, under a limit, with or without a check."""
     k = data.draw(st.integers(2, load), label="k")
-    rejects = salted_rejects(salt, n) if hooked else None
+    rejects = paired_rejects(salted_pairs(n, salt), n) if hooked else None
     assert_same_stream(fully_loaded(n, load), k, 3000, rejects, limit)
 
 
@@ -403,9 +360,9 @@ def test_unbounded_limit_changes_nothing():
     for tree, k in ((random_tree(10, seed=3), 1), (caterpillar(24), 3), (fully_loaded(25, 4), 4)):
         plain = [(list(live), list(dropped), list(added))
                  for live, dropped, added in _block_stream(tree, k)]
-        for accept in (None, lambda block, depth: True):
+        for check in (None, lambda block, depth: True):
             limited = [(list(live), list(dropped), list(added))
-                       for live, dropped, added in _block_stream(tree, k, accept, [tree.n + 1])]
+                       for live, dropped, added in _block_stream(tree, k, check, [tree.n + 1])]
             assert limited == plain
 
 
@@ -480,7 +437,7 @@ def test_agreement_limit_cuts_at_choice_points(monkeypatch):
     The scan that applied the limit only as blocks closed offered 185 423
     blocks to its hook, 134 603 of which went on to the block check.
 
-    The check also rejects a block as it grows, where two open blocks
+    The check also rejects a block while it is open, where two open blocks
     merge into it, so a block bound to fail no longer costs the walk of
     the subtrees above it: with those calls counted, the check runs at
     most 60 000 times (52 766; 85 921 when it saw blocks only as they
@@ -513,14 +470,15 @@ def swapped(tree, i, j):
 
 
 def test_agreement_prunes_the_stream():
-    """The agreement scan checks each block as it closes and as it grows,
+    """The agreement scan checks each block as it closes and while it is open,
     and draws no character below a rejected one: all of its line events
     in ``characters.py`` and ``solvers.py`` stay under half of those of
     drawing every character of the scanned tree, scoring left out.  On a
     random 19-taxon pair at k = 2 (no agreement forest) and a 12-taxon
     tree against itself with two taxa swapped at k = 1 (three
-    components), they read 13.0 and 38.2 times fewer, and must stay at
-    least 10 and 30 times fewer.  Checking blocks only as they closed
+    components), they read 12.9 and 37.1 times fewer, the stream's floors
+    built in ``characters.py`` included, and must stay at least 10 and 30
+    times fewer.  Checking blocks only as they closed
     read 5.68 and 21.1."""
     pairs = (
         (random_tree(19, seed=0), random_tree(19, seed=100), 2, 10),
