@@ -227,9 +227,13 @@ def test_caterpillars_with_large_blocks_match_oracle(n, data):
     assert_same_stream(caterpillar(n), k)
 
 
-# An upward-closed check: it rejects a block at or beyond a depth cap, or
-# one that holds both taxa of a salted pair, and so every larger block at
-# every later depth too.
+# Two upward-closed checks: each rejects a block at or beyond a depth cap,
+# and one that holds more than a size cap of taxa, or both taxa of a
+# salted pair, and so every larger block at every later depth too.
+
+def sized_rejects(size_cap, depth_cap):
+    return lambda block, depth: depth >= depth_cap or block.bit_count() > size_cap
+
 
 def salted_pairs(n, salt):
     """One to three pairs of taxon ids, as masks, picked by ``salt``."""
@@ -244,9 +248,30 @@ def paired_rejects(pairs, depth_cap):
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(3, 12), k=st.integers(1, 4), seed=st.integers(0, 2**32),
+    size_cap=st.integers(1, 12), depth_cap=st.integers(1, 12),
+)
+def test_filtering_hook_removes_rejected_prefixes(n, k, seed, size_cap, depth_cap):
+    assert_same_stream(random_tree(n, seed=seed), k, rejects=sized_rejects(size_cap, depth_cap))
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    n=st.integers(8, 24), load=st.integers(2, 5), size_cap=st.integers(1, 12),
+    depth_cap=st.integers(1, 12), data=st.data(),
+)
+def test_filtering_hook_on_spliced_subtrees(n, load, size_cap, depth_cap, data):
+    """Rejections among forced subtrees spliced in whole, and among blocks
+    spliced back from the previous character."""
+    k = data.draw(st.integers(2, load), label="k")
+    assert_same_stream(fully_loaded(n, load), k, 3000, sized_rejects(size_cap, depth_cap))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 12), k=st.integers(1, 4), seed=st.integers(0, 2**32),
     salt=st.integers(0, 2**32), depth_cap=st.integers(1, 12),
 )
-def test_filtering_hook_removes_rejected_prefixes(n, k, seed, salt, depth_cap):
+def test_growing_block_predicate_removes_rejected_prefixes(n, k, seed, salt, depth_cap):
     rejects = paired_rejects(salted_pairs(n, salt), depth_cap)
     assert_same_stream(random_tree(n, seed=seed), k, rejects=rejects)
 
@@ -256,9 +281,8 @@ def test_filtering_hook_removes_rejected_prefixes(n, k, seed, salt, depth_cap):
     n=st.integers(8, 24), load=st.integers(2, 5), salt=st.integers(0, 2**32),
     depth_cap=st.integers(1, 12), data=st.data(),
 )
-def test_filtering_hook_on_spliced_subtrees(n, load, salt, depth_cap, data):
-    """Rejections among forced subtrees spliced in whole, their open taxa
-    included, and among blocks spliced back from the previous character."""
+def test_growing_block_predicate_on_spliced_subtrees(n, load, salt, depth_cap, data):
+    """Open taxa of forced subtrees spliced in whole go to the check."""
     k = data.draw(st.integers(2, load), label="k")
     rejects = paired_rejects(salted_pairs(n, salt), depth_cap)
     assert_same_stream(fully_loaded(n, load), k, 3000, rejects)
@@ -316,9 +340,18 @@ def test_block_limit_removes_large_characters(n, k, seed, limit):
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 12), k=st.integers(1, 4), seed=st.integers(0, 2**32),
+    limit=st.integers(1, 13), size_cap=st.integers(1, 12), depth_cap=st.integers(1, 12),
+)
+def test_block_limit_with_filtering_hook(n, k, seed, limit, size_cap, depth_cap):
+    assert_same_stream(any_tree(n, seed), k, 5000, sized_rejects(size_cap, depth_cap), limit)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 12), k=st.integers(1, 4), seed=st.integers(0, 2**32),
     limit=st.integers(1, 13), salt=st.integers(0, 2**32), depth_cap=st.integers(1, 12),
 )
-def test_block_limit_with_filtering_hook(n, k, seed, limit, salt, depth_cap):
+def test_growing_block_predicate_with_block_limit(n, k, seed, limit, salt, depth_cap):
     rejects = paired_rejects(salted_pairs(n, salt), depth_cap)
     assert_same_stream(any_tree(n, seed), k, 5000, rejects, limit)
 
