@@ -277,10 +277,12 @@ def _block_stream(
     pushes it or pops back to it, when the blocks closed so far, the
     fewest that the option closes at or below its vertex and the fewest
     that the pending steps add reach the limit.  ``fewest`` is the edge
-    rule in min-plus form: an option adds its children's floors per state
-    (``least``), plus 1 where two open blocks reach k and close.  The
-    first test against a limit builds ``least`` for every vertex, children
-    first, as the least ``fewest`` over each state's options.  Listing,
+    rule in min-plus form: a pair of child states adds its children's
+    floors (``least``), plus 1 where two open blocks reach k and close.
+    The first test against a limit builds ``least`` for every vertex,
+    children first, one ``fewest`` per state over the pairs of all its
+    options, kept per mask triple like the options (``state_pairs``); a
+    choice point's test takes ``fewest`` over its option's pairs.  Listing,
     with neither, joins blocks through the live list's own methods.
     """
     if k < 1:
@@ -399,21 +401,42 @@ def _block_stream(
     if pruned:
         least: list[tuple[int | None, ...]] = []  # None outside the support
 
+        def pairs(S_f: int, g_allowed: dict[int, int]) -> list[tuple[int, int]]:
+            """The pairs (j1, j2) of f's and g's edge states that an option
+            allows: j1 in S_f and j2 in ``g_allowed[j1]``."""
+            return [(j1, j2) for j1 in states if S_f >> j1 & 1
+                    for j2 in states if g_allowed[j1] >> j2 & 1]
+
         @cache  # lives as long as this stream
-        def fewest(v: int, S: int, c: int) -> tuple[int, int]:
-            """Fewest blocks that close at or below v on v's option from
-            case c on, when v's edge is in S, and the fewest of them that
-            close outside f's subtree: in g's or at v."""
-            S_f, (g, g_allowed, _, _, _), _ = option(v, S, c)
-            least_f, least_g = least[children[v][0]], least[g]
+        def state_pairs(F: int, G: int, S: int) -> list[tuple[int, int]]:
+            """The pairs of all options of a vertex whose edge is in S and
+            whose child edges have the states F and G: g's edge cut or open
+            (see ``cases``)."""
+            fs, g_open, _ = cases(F, G, S)
+            return pairs(fs[0] | fs[2], g_cut) + pairs(fs[1] | fs[3], g_open)
+
+        def fewest(v: int, S: int, allowed: Iterable[tuple[int, int]]) -> tuple[int, int]:
+            """Fewest blocks that close at or below v, when v's edge is in S
+            and its child edges take one of the ``allowed`` pairs of
+            states, and the fewest of them that close outside f's subtree:
+            in g's or at v."""
+            f, g = children[v]
+            least_f, least_g = least[f], least[g]
+            closes = S == 1  # two open blocks close at v when its edge is cut
             own = rest = n  # no option closes more
-            for j1 in range(len(least_f)):
-                G = g_allowed[j1] if S_f >> j1 & 1 else 0
-                for j2 in range(len(least_g)):
-                    if G >> j2 & 1:  # two open blocks close at v when its edge is cut
-                        cost = least_g[j2] + (S == 1 and j1 > 0 and j2 > 0)
-                        own, rest = min(own, least_f[j1] + cost), min(rest, cost)
+            for j1, j2 in allowed:
+                cost = least_g[j2] + (closes and j1 > 0 and j2 > 0)
+                if cost < rest:
+                    rest = cost
+                if least_f[j1] + cost < own:
+                    own = least_f[j1] + cost
             return own, rest
+
+        @cache  # lives as long as this stream
+        def option_floor(v: int, S: int, c: int) -> tuple[int, int]:
+            """``fewest`` on v's option from case c on when v's edge is in S."""
+            S_f, (_, g_allowed, _, _, _), _ = option(v, S, c)
+            return fewest(v, S, pairs(S_f, g_allowed))
 
         summed = [None, 0]  # the chain of pending steps summed last, and its sum
 
@@ -426,26 +449,23 @@ def _block_stream(
             if not least:  # a leaf's edge is cut as a singleton (k = 1) or open
                 least[:] = [(1 if k == 1 else None, 0)] * len(children)
                 for u in (*range(len(children) - 2, n - 1, -1), len(children) - 1):
-                    floors = []
-                    for s in range(support[u].bit_length()):
-                        own, case = [], 0 if support[u] >> s & 1 else -1
-                        while case >= 0:  # each option of state s
-                            own.append(fewest(u, 1 << s, case)[0])
-                            case = option(u, 1 << s, case)[2]
-                        floors.append(min(own, default=None))
-                    least[u] = tuple(floors)
+                    f, g = children[u]
+                    F, G, U = support[f], support[g], support[u]
+                    least[u] = tuple(  # per state, over the pairs of all its options
+                        fewest(u, 1 << s, state_pairs(F, G, 1 << s))[0] if U >> s & 1 else None
+                        for s in range(U.bit_length()))
             total, chain = 0, cont
             while chain is not None and chain is not summed[0]:
                 step, chain = chain
                 if len(step) == 2:  # waits for f: g's subtree and the close at u
                     _, _, S_u, u, case = step[1]
-                    total += fewest(u, S_u, case)[1]
+                    total += option_floor(u, S_u, case)[1]
                 else:  # f's edge open and the edge above cut: the block closes there
                     total += step[1] > 0 and step[2] == 1
             if chain is not None:
                 total += summed[1]
             summed[:] = cont, total
-            return closed + fewest(v, S, c)[0] + total >= limit[0]
+            return closed + option_floor(v, S, c)[0] + total >= limit[0]
 
         def append(block: int) -> None:  # at least len(blocks) + 1 + (not block & 1) blocks
             if len(blocks) + 2 - (block & 1) >= limit[0] or (

@@ -6,6 +6,14 @@ JSON, trees are Newick; no format ever mixes on one stream.
 
 Exit codes: 0 success, 1 domain error (bad input data, guard trips),
 2 usage error, 3 listing truncated by --limit.
+
+``main(argv)`` may be called any number of times in one process.  The
+argument parser is built once, when this module is imported, from constants
+only, and holds nothing between calls: each call parses into a fresh
+namespace, and help and usage text read the terminal width and
+``sys.stdout``/``sys.stderr`` when they are printed.  A one-shot process
+(``convchar`` or ``python -m convchar``) pays the same single build as
+before, at import instead of in ``main``.
 """
 
 from __future__ import annotations
@@ -229,10 +237,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one command line (``sys.argv[1:]`` when ``argv`` is None) and
+    return its exit code.  Safe to call repeatedly in one process: the
+    parser built at import is shared and no call leaves state in it."""
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

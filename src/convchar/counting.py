@@ -14,8 +14,8 @@ other's state up and two open blocks merge; when both were open and the sum
 reaches k, the block may also close, state 0.  :func:`_dp_tables` applies it
 to whole vectors, :func:`_partners` in mask form for the enumeration, and
 :func:`_join` pointwise, as the tests' reference.  The block stream of
-``characters`` also applies it per option in min-plus form, for the
-fewest blocks that close below each edge state: a floor on the block
+``characters`` also applies it per pair of child states in min-plus form,
+for the fewest blocks that close below each edge state: a floor on the block
 count of every character below a choice point, where the pruned scans of
 ``solvers`` cut.  Vectors stop at min(k, taxa below), so the DP's big-int
 work is O(n * k) by the subtree-size argument.
