@@ -7,6 +7,11 @@ user input.  Labels are checked where they enter: a label list handed to
 a generator, and the taxa of a ``FullyLoadedSpec``, must hold distinct
 valid labels.  The random model is sequential uniform edge attachment,
 which yields the uniform distribution over labelled binary topologies.
+
+One constructor builds every ``FullyLoadedSpec``, the witness's included,
+from ordered chunks (the witness keeps masks until then) and a scaffold.
+``fully_loaded`` takes ``labels`` or a ``spec``, not both.  The moves find
+their edge by the taxon mask of one side.
 """
 
 from __future__ import annotations
@@ -15,9 +20,9 @@ import random
 import re
 import string
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .trees import Split, Tree, Tripartition, _assemble, _check_label, parse_newick
+from .trees import Split, Tree, Tripartition, _assemble, _check_label, _decode, parse_newick
 
 
 def default_labels(n: int) -> list[str]:
@@ -180,58 +185,52 @@ class FullyLoadedSpec:
         return dict(self.parts)
 
     @classmethod
+    def _of_chunks(
+        cls, k: int, chunks: Sequence[Sequence[str]], scaffold: Callable[[list[str]], Tree]
+    ) -> "FullyLoadedSpec":
+        """Spec of ``chunks`` in order, each at its smallest taxon, over
+        ``scaffold(reps)``; a chunk of other than k-1 taxa is the residue."""
+        reps = [min(c) for c in chunks]
+        odd = [(rep, len(c)) for rep, c in zip(reps, chunks) if len(c) != k - 1]
+        residue_leaf, residue_size = odd[0] if odd else (None, 0)
+        return cls(
+            n=sum(map(len, chunks)),
+            k=k,
+            scaffold=scaffold(reps),
+            residue_leaf=residue_leaf,
+            residue_size=residue_size,
+            parts=tuple((rep, tuple(c)) for rep, c in zip(reps, chunks)),
+        )
+
+    @classmethod
     def default(cls, labels: Sequence[str], k: int) -> "FullyLoadedSpec":
         """Caterpillar scaffold over chunk minima, taxa chunked in label
         order, residue at the end of the spine."""
         labs = sorted(labels)
-        n = len(labs)
-        if k < 2 or n < 1:
+        if k < 2 or not labs:
             raise ValueError("need k >= 2 and n >= 1")
-        chunks = [labs[i:i + k - 1] for i in range(0, n, k - 1)]
-        reps = [c[0] for c in chunks]
-        r = n % (k - 1)
-        return cls(
-            n=n,
-            k=k,
-            scaffold=caterpillar(len(reps), reps),
-            residue_leaf=reps[-1] if r else None,
-            residue_size=r,
-            parts=tuple((rep, tuple(chunk)) for rep, chunk in zip(reps, chunks)),
-        )
+        chunks = [labs[i:i + k - 1] for i in range(0, len(labs), k - 1)]
+        return cls._of_chunks(k, chunks, lambda reps: caterpillar(len(reps), reps))
 
     @classmethod
     def randomized(cls, labels: Sequence[str], k: int, rng: random.Random) -> "FullyLoadedSpec":
         """Random scaffold topology, random chunk assignment and random
         pendant spine orders; used to exercise shape independence."""
         labs = list(labels)
-        n = len(labs)
-        if k < 2 or n < 1:
+        if k < 2 or not labs:
             raise ValueError("need k >= 2 and n >= 1")
         rng.shuffle(labs)
-        r = n % (k - 1)
-        chunks = []
-        if r:
-            chunks.append(labs[:r])
-            labs = labs[r:]
-        chunks.extend(labs[i:i + k - 1] for i in range(0, len(labs), k - 1))
+        r = len(labs) % (k - 1)
+        chunks = [labs[:r]] if r else []
+        chunks.extend(labs[i:i + k - 1] for i in range(r, len(labs), k - 1))
         rng.shuffle(chunks)
-        reps = [min(c) for c in chunks]
-        residue_leaf = None
-        for rep, chunk in zip(reps, chunks):
-            if len(chunk) != k - 1:
-                residue_leaf = rep
-        if len(reps) >= 3:
-            scaffold = random_tree(len(reps), seed=rng.randrange(2 ** 32), labels=reps)
-        else:
-            scaffold = caterpillar(len(reps), sorted(reps))
-        return cls(
-            n=n,
-            k=k,
-            scaffold=scaffold,
-            residue_leaf=residue_leaf,
-            residue_size=r,
-            parts=tuple((rep, tuple(chunk)) for rep, chunk in zip(reps, chunks)),
-        )
+
+        def scaffold(reps: list[str]) -> Tree:
+            if len(reps) >= 3:
+                return random_tree(len(reps), seed=rng.randrange(2 ** 32), labels=reps)
+            return caterpillar(len(reps), sorted(reps))
+
+        return cls._of_chunks(k, chunks, scaffold)
 
 
 def fully_loaded(
@@ -243,8 +242,9 @@ def fully_loaded(
     """A fully k-loaded tree on n >= k taxa.
 
     Without a spec: caterpillar scaffold, pendant caterpillars, residue at an
-    end-of-spine scaffold leaf.  A spec pins scaffold shape, taxon placement
-    and pendant spine orders.
+    end-of-spine scaffold leaf, over ``labels`` if given.  A spec pins
+    scaffold shape, taxon placement and pendant spine orders; giving both
+    ``labels`` and a spec raises ``ValueError``.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -252,6 +252,8 @@ def fully_loaded(
         raise ValueError("fully loaded trees need n >= k")
     if spec is None:
         spec = FullyLoadedSpec.default(_unique_labels(n, labels), k)
+    elif labels is not None:
+        raise ValueError("give labels or a spec, not both")
     elif spec.n != n or spec.k != k:
         raise ValueError("spec disagrees with n or k")
     parts = spec.parts_dict()
@@ -281,30 +283,15 @@ def fully_loaded_decomposition(tree: Tree, k: int) -> FullyLoadedSpec | None:
     if k < 2:
         raise ValueError("k must be at least 2")
     n = tree.n
+    full = (1 << n) - 1
 
-    def build_spec(parts: list[frozenset[str]]) -> FullyLoadedSpec:
-        reps = sorted(min(p) for p in parts)
-        scaffold = (
-            tree.restrict(reps) if len(reps) > 1 else _single_leaf_tree(reps[0])
-        )
-        residue_leaf = None
-        residue_size = 0
-        by_rep = {min(p): tuple(sorted(p)) for p in parts}
-        for rep, taxa in by_rep.items():
-            if len(taxa) != k - 1:
-                residue_leaf, residue_size = rep, len(taxa)
-        return FullyLoadedSpec(
-            n=n,
-            k=k,
-            scaffold=scaffold,
-            residue_leaf=residue_leaf,
-            residue_size=residue_size,
-            parts=tuple(sorted(by_rep.items())),
-        )
+    def witness(masks: list[int]) -> FullyLoadedSpec:
+        chunks = [_decode(tree.labels, m) for m in sorted(masks, key=lambda m: m & -m)]
+        return FullyLoadedSpec._of_chunks(k, chunks, tree.restrict)
 
     if n <= k - 1:
         # Vacuously fully loaded: single-leaf scaffold.
-        return build_spec([tree.taxa])
+        return witness([full])
 
     children = tree._children
     below = tree._below()
@@ -332,31 +319,20 @@ def fully_loaded_decomposition(tree: Tree, k: int) -> FullyLoadedSpec | None:
             continue
         total = (0 if top_size == k - 1 else 1) + min_under[v]
         if total <= 1:
-            parts = [tree._labels_of(((1 << n) - 1) ^ below[v])]
+            masks = [full ^ below[v]]
             stack = [v]
             while stack:
                 w = stack.pop()
                 if take_whole[w]:
-                    parts.append(tree._labels_of(below[w]))
+                    masks.append(below[w])
                 else:
                     stack.extend(children[w])
-            return build_spec(parts)
+            return witness(masks)
     return None
-
-
-def _single_leaf_tree(label: str) -> Tree:
-    return parse_newick(label + ";")
 
 
 def is_fully_loaded(tree: Tree, k: int) -> bool:
     return fully_loaded_decomposition(tree, k) is not None
-
-
-def _away_mask(tree: Tree, v: int, parent: int) -> int:
-    below = tree._below()
-    if tree._parent[v] == parent:
-        return below[v]
-    return ((1 << tree.n) - 1) ^ below[parent]
 
 
 def linearize(tree: Tree, tp: Tripartition) -> Tree:
@@ -367,16 +343,13 @@ def linearize(tree: Tree, tp: Tripartition) -> Tree:
     off consecutive subdivision vertices of the a--b path.  Requires all
     three parts to have at least two taxa.
     """
-    roles = _match_tripartition(tree, tp)
+    na, nb, _ = _match_tripartition(tree, tp)
     if min(len(tp.part_a), len(tp.part_b), len(tp.part_c)) < 2:
         raise ValueError("linearization needs all three parts of size >= 2")
-    na, nb, _ = roles
-    a_text = tree._text_away(na, tp.center)
-    b_text = tree._text_away(nb, tp.center)
-    inner = b_text
+    inner = tree._text_away(nb, tp.center)
     for c in sorted(tp.part_c, reverse=True):
         inner = f"({c},{inner})"
-    return parse_newick(f"({a_text},{inner});")
+    return parse_newick(f"({tree._text_away(na, tp.center)},{inner});")
 
 
 def _match_tripartition(tree: Tree, tp: Tripartition) -> tuple[int, int, int]:
@@ -385,17 +358,11 @@ def _match_tripartition(tree: Tree, tp: Tripartition) -> tuple[int, int, int]:
     v = tp.center
     if not (tree.n <= v < tree.num_vertices()):
         raise ValueError("tripartition center is not an internal vertex")
-    by_taxa: dict[frozenset[str], int] = {}
-    for u in tree.neighbors(v):
-        by_taxa[tree._labels_of(_away_mask(tree, u, v))] = u
-    try:
-        return (
-            by_taxa[frozenset(tp.part_a)],
-            by_taxa[frozenset(tp.part_b)],
-            by_taxa[frozenset(tp.part_c)],
-        )
-    except KeyError:
-        raise ValueError("tripartition does not match the tree") from None
+    taxa = tree.taxa
+    edges = [taxa.issuperset(p) and _edge_with_side(tree, tree._mask_of(p)) for p in tp.parts]
+    if not all(edge and edge[0] == v for edge in edges):
+        raise ValueError("tripartition does not match the tree")
+    return edges[0][1], edges[1][1], edges[2][1]
 
 
 def replace_pendant_fully_loaded(tree: Tree, split: Split, k: int) -> Tree:
@@ -410,26 +377,29 @@ def replace_pendant_fully_loaded(tree: Tree, split: Split, k: int) -> Tree:
     b = sorted(split.side_b)
     if not k <= len(b) <= 2 * (k - 1):
         raise ValueError("side_b size must lie in [k, 2(k-1)]")
-    ua, ub = _edge_of_split(tree, split)
-    a_text = tree._text_away(ua, ub)
-    chunk1, chunk2 = b[: k - 1], b[k - 1:]
-    return parse_newick(
-        f"({a_text},{_rooted_chain(chunk1)},{_rooted_chain(chunk2)});"
-    )
+    a_text = tree._text_away(*_edge_of_split(tree, split))
+    return parse_newick(f"({a_text},{_rooted_chain(b[:k - 1])},{_rooted_chain(b[k - 1:])});")
 
 
 def _edge_of_split(tree: Tree, split: Split) -> tuple[int, int]:
     """(a-side endpoint, b-side endpoint) of the edge inducing ``split``."""
-    want_b = frozenset(split.side_b)
-    if frozenset(split.side_a) | want_b != tree.taxa or frozenset(split.side_a) & want_b:
+    side_a, side_b = frozenset(split.side_a), frozenset(split.side_b)
+    if side_a | side_b != tree.taxa or side_a & side_b:
         raise ValueError("split sides do not partition the tree's taxa")
-    parent = tree._parent
-    below = tree._below()
-    mask_b = tree._mask_of(want_b)
-    full = (1 << tree.n) - 1
+    edge = _edge_with_side(tree, tree._mask_of(side_b))
+    if edge is None:
+        raise ValueError("tree does not contain the split")
+    return edge
+
+
+def _edge_with_side(tree: Tree, side: int) -> tuple[int, int] | None:
+    """(u, w) for the edge u--w whose side holding w holds exactly the taxa
+    of the mask ``side``, or None if no edge has that side."""
+    parent, below = tree._parent, tree._below()
+    rest = ((1 << tree.n) - 1) ^ side
     for v in range(1, len(parent)):
-        if below[v] == mask_b:
+        if below[v] == side:
             return parent[v], v
-        if below[v] == full ^ mask_b:
+        if below[v] == rest:
             return v, parent[v]
-    raise ValueError("tree does not contain the split")
+    return None

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import hashlib
 import itertools
 import random
 
@@ -21,6 +22,7 @@ from convchar import (
     parse_newick,
     random_tree,
     replace_pendant_fully_loaded,
+    Split,
     TreeError,
 )
 from convchar.verify import linearize_monotone, pendant_replacement_monotone
@@ -104,6 +106,8 @@ class TestFullyLoaded:
             fully_loaded(3, 4)
         with pytest.raises(ValueError):
             fully_loaded(7, 1)
+        with pytest.raises(ValueError, match="^give labels or a spec, not both$"):
+            fully_loaded(4, 3, labels=list("wxyz"), spec=FullyLoadedSpec.default(list("abcd"), 3))
 
     def test_invalid_part_taxon_rejected(self):
         with pytest.raises(TreeError, match="invalid taxon label 'x,y'"):
@@ -266,6 +270,12 @@ class TestLinearize:
             bad = dataclasses.replace(tp, part_c=frozenset({"nope"}))
             linearize(t, bad)
 
+    def test_parts_as_plain_iterables(self):
+        t = random_tree(12, seed=0)
+        tp = next(tp for tp in t.tripartitions() if min(map(len, tp.parts)) >= 2)
+        plain = Tripartition(sorted(tp.part_a), set(tp.part_b), sorted(tp.part_c), tp.center)
+        assert linearize(t, plain) == linearize(t, tp)
+
 
 class TestReplacePendant:
     def test_never_increases_count(self):
@@ -283,6 +293,12 @@ class TestReplacePendant:
         wide = next(sp for sp in t.splits() if len(sp.side_b) > 4)
         with pytest.raises(ValueError):
             replace_pendant_fully_loaded(t, wide, 3)
+
+    def test_sides_as_plain_iterables(self):
+        t = random_tree(12, seed=3)
+        sp = t.bounded_split(3)
+        plain = Split(sorted(sp.side_a), sorted(sp.side_b))
+        assert replace_pendant_fully_loaded(t, plain, 3) == replace_pendant_fully_loaded(t, sp, 3)
 
 
 def assert_valid_witness(tree, k, w):
@@ -316,3 +332,95 @@ class TestWitnessValidity:
                     assert_valid_witness(t, k, w)
                     found += 1
         assert found > len(trees)
+
+
+# -- generator digest ----------------------------------------------------------
+#
+# One sha256 over the outcome of every generator that builds a spec or
+# moves between the paper's tree families: the fully loaded specs, the
+# witness of a fully loaded tree, linearization and pendant replacement.
+# A tree outcome is its (labels, parent, children) arrays, a spec its
+# fields, an error its type and message.  Recorded before the specs were
+# built through one constructor and edges found by one side-mask lookup.
+
+GENERATOR_DIGEST = "7f96527c49786bc5ef29f92055650c8e401697c41a948df82247862d94b8fce7"
+
+
+def _tree_form(t):
+    return t.labels, t._parent, t._children
+
+
+def _spec_form(s):
+    if s is None:
+        return None
+    return s.n, s.k, _tree_form(s.scaffold), s.residue_leaf, s.residue_size, s.parts
+
+
+def _outcome(make, form):
+    try:
+        result = make()
+    except Exception as exc:  # every error is part of the outcome
+        return type(exc).__name__, str(exc)
+    return form(result)
+
+
+def _rotations(tp):
+    a, b, c = tp.parts
+    for parts in ((a, b, c), (b, c, a), (c, a, b)):
+        yield Tripartition(*parts, center=tp.center)
+
+
+def generator_outcomes():
+    """Every outcome the generator digest covers, in a fixed order."""
+    rng = random.Random(20261019)
+    for n in range(1, 30):
+        labels = default_labels(n)
+        for k in range(2, 8):
+            yield _outcome(lambda: FullyLoadedSpec.default(labels, k), _spec_form)
+            spec = FullyLoadedSpec.randomized(labels, k, rng)
+            yield _spec_form(spec)
+            yield _outcome(lambda: fully_loaded(n, k, spec=spec), _tree_form)
+    yield rng.random()  # pins how many draws the specs took
+
+    trees = [t for n in range(1, 8) for t in all_topologies(default_labels(n))]
+    trees += [random_tree(n, seed=s) for n in range(8, 16) for s in range(3)]
+    trees += [
+        fully_loaded(n, k, spec=FullyLoadedSpec.randomized(default_labels(n), k, rng))
+        for k in range(2, 7) for n in range(k, 4 * k + 6)
+    ]
+    for t in trees:
+        for k in range(2, 7):
+            yield _outcome(lambda: fully_loaded_decomposition(t, k), _spec_form)
+
+    batch = [random_tree(n, seed=s) for n in range(6, 13) for s in range(4)]
+    batch += [caterpillar(9), fully_loaded(10, 3), fully_loaded(11, 4)]
+    for t in batch:
+        other = random_tree(t.n, seed=t.n + 100)
+        for tp in t.tripartitions():
+            for rotated in _rotations(tp):
+                yield _outcome(lambda: linearize(t, rotated), _tree_form)
+        tp = t.tripartitions()[0]
+        probes = [
+            dataclasses.replace(tp, center=0),
+            dataclasses.replace(tp, part_c=tp.part_c | {"nope"}),
+            *other.tripartitions(),
+        ]
+        for probe in probes:
+            yield _outcome(lambda: linearize(t, probe), _tree_form)
+        for sp in t.splits() + other.splits():
+            for k in range(1, 6):
+                for split in (sp, Split(sp.side_b, sp.side_a)):
+                    yield _outcome(
+                        lambda: replace_pendant_fully_loaded(t, split, k), _tree_form
+                    )
+        sp = max(t.splits(), key=lambda s: len(s.side_b))
+        for split in (Split(sp.side_a - {"a"}, sp.side_b), Split(sp.side_b, sp.side_b)):
+            k = len(split.side_b)
+            yield _outcome(lambda: replace_pendant_fully_loaded(t, split, k), _tree_form)
+
+
+def test_generator_digest():
+    digest = hashlib.sha256()
+    for outcome in generator_outcomes():
+        digest.update(repr(outcome).encode("utf-8") + b"\n")
+    assert digest.hexdigest() == GENERATOR_DIGEST
