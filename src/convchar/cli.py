@@ -14,6 +14,12 @@ namespace, and help and usage text read the terminal width and
 ``sys.stdout``/``sys.stderr`` when they are printed.  A one-shot process
 (``convchar`` or ``python -m convchar``) pays the same single build as
 before, at import instead of in ``main``.
+
+Importing this module loads only the modules ``count``, ``list`` and
+``rate`` run: ``trees``, ``counting`` and ``characters``.  Every other
+subcommand imports its own engine when it first runs (``solvers``,
+``generators``, ``bench``, ``verify``), and ``bench --families`` reads
+``bench.FAMILIES`` when a ``bench`` command line is parsed.
 """
 
 from __future__ import annotations
@@ -24,13 +30,9 @@ import sys
 from collections.abc import Iterable
 from json.encoder import encode_basestring_ascii
 
-from .bench import FAMILIES, run_bench
 from .characters import _rendered
-from .counting import count_convex, rate_table_tsv
-from .generators import caterpillar, fully_loaded, random_tree
-from .solvers import SolveInstance, solve
+from .counting import _decimal_digits, count_convex, rate_table_tsv
 from .trees import Tree, TreeError, parse_newick
-from .verify import run_verification
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -79,6 +81,14 @@ def _int_at_least(low: int):
 _positive_float = _checked(float, lambda value: value > 0, "positive")  # rejects nan
 
 
+def _family(text: str) -> str:
+    """A ``bench`` family name, checked against ``bench.FAMILIES`` when a
+    ``bench`` command line is parsed, so no other command imports ``bench``."""
+    from .bench import FAMILIES
+
+    return _checked(str.strip, FAMILIES.__contains__, "one of " + ", ".join(FAMILIES))(text)
+
+
 def _csv_of(convert):
     def parse(text: str) -> list:
         try:
@@ -91,7 +101,7 @@ def _csv_of(convert):
 
 def _cmd_count(args) -> int:
     for lineno, tree in _read_trees(args.tree_file):
-        print(f"{lineno}\t{tree.n}\t{args.k}\t{count_convex(tree, args.k)}")
+        print(f"{lineno}\t{tree.n}\t{args.k}\t{_decimal_digits(count_convex(tree, args.k))}")
     return EXIT_OK
 
 
@@ -130,6 +140,8 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .generators import caterpillar, fully_loaded, random_tree
+
     if args.family == "caterpillar":
         tree = caterpillar(args.n)
     elif args.family == "random":
@@ -149,6 +161,8 @@ def _cmd_rate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from .bench import run_bench
+
     records = run_bench(
         families=args.families,
         ks=args.k_list,
@@ -162,6 +176,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_verification
+
     ok = run_verification(
         nmax=args.nmax, kmax=args.kmax, samples=args.samples, seed=args.seed
     )
@@ -170,6 +186,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from .solvers import SolveInstance, solve
+
     try:
         data = json.loads(_read_text(args.instance))
     except json.JSONDecodeError as exc:
@@ -213,8 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rate)
 
     p = sub.add_parser("bench", help="largest n fully listable per wall-clock budget")
-    family = _checked(str.strip, FAMILIES.__contains__, "one of " + ", ".join(FAMILIES))
-    p.add_argument("--families", type=_csv_of(family), default="caterpillar,random")
+    p.add_argument("--families", type=_csv_of(_family), default="caterpillar,random")
     p.add_argument("--k-list", type=_csv_of(_int_at_least(1)), default="1,2,3")
     p.add_argument("--budgets", type=_csv_of(_positive_float), default="1")
     p.add_argument("--seed", type=int, default=0)

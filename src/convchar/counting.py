@@ -164,6 +164,16 @@ def count_convex(tree: Tree, k: int = 1) -> int:
     return vec[0]
 
 
+def _decimal_digits(value: int) -> str:
+    """``str(value)`` at any size.  Past the interpreter's int-to-str digit
+    limit the digits come from ``Decimal``, whose int constructor is exact
+    and unlimited; the limit itself is never changed."""
+    try:
+        return str(value)
+    except ValueError:
+        return str(Decimal(value))
+
+
 def caterpillar_count(n: int, k: int) -> int:
     """Count for the n-taxon caterpillar via the linear recurrence
     c(n) = c(n-1) + c(n-k), with c(n)=0 for n<k and 1 for k<=n<2k.

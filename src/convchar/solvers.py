@@ -54,7 +54,7 @@ from itertools import count
 from typing import Callable, Sequence
 
 from .characters import Character, _block_stream, _parsimony
-from .counting import count_convex
+from .counting import _decimal_digits, count_convex
 from .trees import Tree, _decode, parse_newick
 
 MODES = (
@@ -149,7 +149,7 @@ class SolveResult:
         return {
             "character": self.character.text() if self.character else None,
             "objective_value": self.objective_value,
-            "characters_scanned": str(self.characters_scanned),
+            "characters_scanned": _decimal_digits(self.characters_scanned),
             "wall_time_ms": round(self.wall_time * 1000.0, 3),
         }
 

@@ -9,6 +9,8 @@ import time
 from contextlib import contextmanager
 from itertools import count
 
+import pytest
+
 from convchar import (
     Character,
     FakeClock,
@@ -94,6 +96,7 @@ def test_c02_topological_neutrality_exhaustive():
         assert exhaustive_extremes((6, 7, 8), ks=(3, 4, 5)) == "11445 topologies"
 
 
+@pytest.mark.slow
 def test_c03_oracle_equivalence():
     with criterion("criterion 3: dp equals brute force, 200 trees per n", 300.0):
         trees = (random_tree(n, seed=n * 100000 + i) for n in range(5, 10) for i in range(200))

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from convchar import (
     FakeClock,
     caterpillar,
     caterpillar_count,
+    count_closed_k1,
     count_convex,
     enumerate_convex,
     fibonacci,
@@ -126,6 +128,18 @@ class TestCli:
         path = self.write_tree(tmp_path)
         assert main(["count", path, "-k", "99"]) == 0
         assert capsys.readouterr().out.splitlines() == ["1\t7\t99\t0"]
+
+    def test_count_past_the_int_to_str_digit_limit(self, tmp_path, capsys):
+        # F(21999) has 4 598 digits, past the default limit of 4 300 that
+        # str() of an int obeys.
+        limit = sys.get_int_max_str_digits()
+        path = self.write_tree(tmp_path, random_tree(11_000).canonical_newick() + "\n")
+        assert main(["count", path]) == 0
+        line, n, k, digits = capsys.readouterr().out.rstrip("\n").split("\t")
+        assert (line, n, k) == ("1", "11000", "1")
+        assert len(digits) == 4598 and digits.isdigit()
+        assert Decimal(digits) == count_closed_k1(11_000)
+        assert sys.get_int_max_str_digits() == limit
 
     def test_count_parse_error_has_line_number(self, tmp_path, capsys):
         path = self.write_tree(tmp_path, EXAMPLE + "\n(((oops;\n")
@@ -327,6 +341,7 @@ def list_requests(draw):
     return tree, draw(st.integers(1, 4)), draw(st.none() | st.integers(0, 40))
 
 
+@pytest.mark.slow
 @settings(max_examples=40, deadline=None)
 @given(list_requests())
 def test_list_renders_each_character_byte_identically(request):
@@ -387,6 +402,7 @@ class TestDeepTrees:
             # Convex exactly when the Fitch score is block_count - 1.
             assert parsimony_score(t, ch) == ch.block_count - 1
 
+    @pytest.mark.slow
     def test_recursion_limit_unchanged(self):
         # Runs parse, count, the first character and the encoding on a
         # 10^5-taxon caterpillar; its first character at k=2 pairs up

@@ -244,6 +244,7 @@ class TestRendering:
         assert len(counts) == lines
         assert counts[-1] <= per_line * lines
 
+    @pytest.mark.slow
     def test_a_k1_listing_stays_in_bounded_memory(self):
         """The memo holds at most 8n renderings, however many distinct
         blocks come by: the traced peak of a whole k = 1 listing stays

@@ -1,6 +1,7 @@
 """The flat Fitch kernel, the Fitch-equality convexity test and the bounded
 objective scan, each against an independent or older reference."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -117,6 +118,7 @@ def reference_optimum(tree, trees, k):
 
 
 class TestBoundedObjective:
+    @pytest.mark.slow
     @settings(max_examples=200, deadline=None)
     @given(
         n=st.integers(3, 11),

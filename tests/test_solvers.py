@@ -1,4 +1,6 @@
 import re
+import sys
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -7,11 +9,13 @@ from hypothesis import strategies as st
 from convchar import (
     Character,
     SolveInstance,
+    SolveResult,
     agreement_forest_min_components,
     all_partitions,
     caterpillar,
     count_convex,
     enumerate_convex,
+    fibonacci,
     fully_loaded,
     is_convex,
     optimize_objective,
@@ -201,6 +205,14 @@ class TestSolveInstance:
         assert out["objective_value"] == 1
         assert out["characters_scanned"] == "5"
         assert isinstance(out["wall_time_ms"], float)
+
+    def test_scanned_count_past_the_int_to_str_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        scanned = fibonacci(21_999)  # 4 598 digits, past the default limit of 4 300
+        out = SolveResult(None, None, scanned, 0.0).to_json_dict()
+        digits = out["characters_scanned"]
+        assert len(digits) == 4598 and digits.isdigit() and Decimal(digits) == scanned
+        assert sys.get_int_max_str_digits() == limit
 
     def test_schema_errors(self):
         with pytest.raises(ValueError):
