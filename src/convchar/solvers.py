@@ -37,6 +37,11 @@ objective scores the scanned tree as b - 1 without a Fitch pass, and
 rejects a character between Fitch passes once its exact scores so far
 plus b - 1 per tree left reach the incumbent.
 
+Before the walk, a pruned scan scores the one-block character if it
+passes the block check: every other character has at least 2 blocks, so
+a value below ``floor(2)`` is the unique optimum and no stream is built.
+That settles every ``sum_parsimony`` scan and agreement of equal trees.
+
 No rejection drops an answer: a rejected character cannot beat the
 incumbent, and ``_scan`` keeps only a strict improvement, so the result,
 ties included, is that of scoring every character in full.  A pruned scan
@@ -245,13 +250,24 @@ def _scan(
     upward-closed and also sees each block while it is open.  A pruned scan
     still decides every character, so it reports ``count_convex(tree, k)``
     as scanned; otherwise that is the number of characters drawn.
+
+    A pruned scan first scores the one-block character, if ``check(whole,
+    0)`` passes; a value below ``floor(2)`` is the unique optimum, and then
+    the stream is never built.
     """
+    if k < 1:
+        raise ValueError("k must be at least 1")
     start = time.perf_counter()
     best: tuple[int, ...] | None = None
     best_value: int | None = None
     scanned = 0
     limit = None if floor is None else [tree.n + 1]
-    for masks, _, _ in _block_stream(tree, k, check, limit):
+    whole = (1 << tree.n) - 1
+    if limit is not None and k <= tree.n and (check is None or check(whole, 0)):
+        value = score([whole], None)
+        if value is not None and value < floor(2):
+            best, best_value = (whole,), value
+    for masks, _, _ in () if best is not None else _block_stream(tree, k, check, limit):
         scanned += 1
         value = score(masks, best_value)
         if value is not None and (best_value is None or value < best_value):
@@ -327,9 +343,8 @@ def optimize_objective(
     the level-k count of ``tree``.
 
     With ``sum_parsimony`` and k <= n the answer is always the one-block
-    character with value 0: it is the only character that scores 0 on every
-    tree (one with b >= 2 blocks scores >= b - 1 on each), and it comes last
-    in stream order.
+    character with value 0, below the floor of len(trees) >= 1 at 2 blocks,
+    so ``_scan`` returns it without building the stream.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")

@@ -255,6 +255,17 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "Traceback" not in err, data
 
+    def test_solve_k_below_one(self, tmp_path, capsys):
+        # Equal trees: the one-block character would answer both modes
+        # before the walk, so k must be checked before any scoring.
+        inst = tmp_path / "inst.json"
+        for mode in ("agreement_forest_min_components", "objective_optimize"):
+            for k in (0, -3):
+                inst.write_text(json.dumps({"trees": ["((a,b),(c,d));"] * 2, "k": k, "mode": mode}))
+                assert main(["solve", str(inst)]) == 1, (mode, k)
+                out, err = capsys.readouterr()
+                assert out == "" and err.startswith("error: k must be at least 1"), (mode, k, err)
+
     def test_stdin_dash(self, tmp_path, capsys, monkeypatch):
         import io
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convchar import (
+    agreement_forest_min_components,
     caterpillar,
     count_convex,
     enumerate_convex,
@@ -16,7 +17,7 @@ from convchar import (
 )
 from convchar import solvers
 from convchar.bruteforce import _convex
-from convchar.characters import _parsimony
+from convchar.characters import _block_stream, _parsimony
 
 
 def old_parsimony(tree, masks):
@@ -106,6 +107,24 @@ class TestIsConvex:
         assert not is_convex(t, blocks)
 
 
+def fitch_instance():
+    """Three 19-taxon trees; the first has 2584 characters at k = 2."""
+    return [random_tree(19, seed=s) for s in range(3)]
+
+
+def counted_fitch_passes(monkeypatch):
+    """Count the solvers' Fitch passes; returns a reader of the count."""
+    calls = 0
+
+    def counted(tree, masks):
+        nonlocal calls
+        calls += 1
+        return _parsimony(tree, masks)
+
+    monkeypatch.setattr(solvers, "_parsimony", counted)
+    return lambda: calls
+
+
 def reference_optimum(tree, trees, k):
     """First strict minimum of the summed Fitch score over the stream, every
     character scored in full."""
@@ -138,18 +157,48 @@ class TestBoundedObjective:
         assert res.characters_scanned == count_convex(tree, k)
 
     def test_fitch_passes_are_bounded(self, monkeypatch):
-        calls = 0
-
-        def counted(tree, masks):
-            nonlocal calls
-            calls += 1
-            return _parsimony(tree, masks)
-
-        monkeypatch.setattr(solvers, "_parsimony", counted)
-        trees = [random_tree(19, seed=s) for s in range(3)]
+        passes = counted_fitch_passes(monkeypatch)
+        trees = fitch_instance()
         res = optimize_objective(trees[0], trees, 2)
         count = count_convex(trees[0], 2)
         assert res.characters_scanned == count == 2584
-        # Scoring every tree in full takes 3 * 2584 = 7752 passes; the
-        # floor rule takes 1010 here.
-        assert calls <= (len(trees) - 1) * count / 3
+        # Scoring every tree in full takes 3 * 2584 = 7752 passes; the floor
+        # proves the one-block character optimal before the walk, at one
+        # pass per tree other than the scanned one.
+        assert passes() == len(trees) - 1
+
+    def test_pruned_scan_fitch_passes_are_bounded(self, monkeypatch):
+        """No public call reaches the pruned objective scan, so it runs here
+        with the one-block character rejected unscored."""
+        passes = counted_fitch_passes(monkeypatch)
+        trees = fitch_instance()
+        tree = trees[0]
+        res = solvers._scan(
+            tree, 2,
+            lambda masks, best: None if len(masks) == 1 else solvers._sum_parsimony(
+                masks, trees, best, tree),
+            lambda b: (b - 1) * len(trees),
+        )
+        assert (res.objective_value, res.characters_scanned) == (5, 2584)
+        # The floor and the bound between Fitch passes take 1008 passes
+        # here; without the bound, or with the floor one block lower, the
+        # scan takes about 1500.
+        assert passes() <= 1008
+
+    def test_one_block_answers_build_no_stream(self, monkeypatch):
+        built = 0
+
+        def counted(*args):
+            nonlocal built
+            built += 1
+            return _block_stream(*args)
+
+        monkeypatch.setattr(solvers, "_block_stream", counted)
+        trees = fitch_instance()
+        assert optimize_objective(trees[0], trees, 2).objective_value == 0
+        for k in (1, 2, 3):
+            assert agreement_forest_min_components(trees[0], trees[0], k).objective_value == 1
+        assert built == 0
+        # Distinct trees disagree on the whole taxon set, so their scan walks.
+        agreement_forest_min_components(trees[0], trees[1], 3)
+        assert built == 1

@@ -71,6 +71,20 @@ GOLDEN = {
     "objective on 3 trees": (
         OBJECTIVE, lambda: (*random_pair(9, 5), random_tree(9, seed=7)), 1,
         "d3808ac44565434a21853336478914401f01a402cbc92cebfebf0932440a096b"),
+    # Equal trees and the sum_parsimony objective end at the one-block
+    # character, which the floor proves optimal before the walk.
+    "agreement random(10) with itself k=1": (
+        AGREE, lambda: (random_tree(10, seed=4),) * 2, 1,
+        "e92f2c7ebd0b4f14fd2950db3c8e552e76dfdffa3f97c5477f7f4b739898464f"),
+    "agreement random(10) with itself k=2": (
+        AGREE, lambda: (random_tree(10, seed=4),) * 2, 2,
+        "6b8941a739e4b8671676a51af815a6af518440866fed180cb487a80eeffcb7cd"),
+    "agreement random(10) with itself k=3": (
+        AGREE, lambda: (random_tree(10, seed=4),) * 2, 3,
+        "6722e62a0811ad03ef4b426157311f2155dddd4b36dad7518995e8cbf1a58d1d"),
+    "objective k=n on 9 taxa": (
+        OBJECTIVE, lambda: (random_tree(9, seed=6), random_tree(9, seed=7)), 9,
+        "886c46d39d457daa5894fa3d4ef834102302409a8e8531fdcec8c7be5d0afc72"),
     "quartet hit fully_loaded(16, 5)": (
         QUARTET, lambda: (fully_loaded(16, 5), fully_loaded(16, 5)), 1,
         "9ec22a406f4df8f3d7c6fa53c6326dbd332bb84ce7b27e08287216bd5c63a342"),

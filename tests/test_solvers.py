@@ -27,7 +27,7 @@ from convchar import (
 )
 from convchar.bruteforce import _convex
 from convchar.characters import _block_stream, _parsimony
-from convchar.solvers import _agreeing_blocks, _restricted_splits
+from convchar.solvers import _agreeing_blocks, _restricted_splits, _scan, _sum_parsimony
 from convchar.trees import Split, _decode
 
 
@@ -329,6 +329,27 @@ class TestPrunedScans:
         t1, t2 = pair
         for trees in ((t1, t2), (t2,), (t2, t1, t2)):
             assert outcome(optimize_objective(t1, trees, k)) == reference_objective(t1, trees, k)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 11),
+        k=st.integers(1, 3),
+        seeds=st.lists(st.integers(0, 10 ** 6), min_size=2, max_size=4),
+        data=st.data(),
+    )
+    def test_pruned_objective_scan_matches_reference(self, n, k, seeds, data):
+        """The one-block character ends every public objective scan before
+        the walk, so here it is rejected unscored and the floor and
+        _sum_parsimony's bound decide the scan."""
+        tree, *trees = (random_tree(n, seed=s) if n >= 3 else caterpillar(n) for s in seeds)
+        if data.draw(st.booleans(), label="scanned tree is scored"):
+            trees[data.draw(st.integers(0, len(trees) - 1))] = tree
+
+        def score(masks, best):
+            return None if len(masks) == 1 else _sum_parsimony(masks, trees, best, tree)
+
+        res = _scan(tree, k, score, lambda b: (b - 1) * len(trees))
+        assert outcome(res) == reference_scan(tree, k, score)
 
     @settings(max_examples=60, deadline=None)
     @given(pair=tree_pairs(st.sampled_from((4, 8, 12, 16)), loaded=True))
