@@ -29,17 +29,18 @@ point, none of them drawn, and a block bound to fail ends the walk where
 it first fails, before the walk enters the subtrees above it.  The limit
 also cuts a branch at its choice point once the blocks closed so far and
 the fewest blocks below the branch and its pending steps reach it, floors
-that the stream builds from its own options by the DP's edge rule in
-min-plus form.  Listing passes neither and pays one test per walk and per
-choice point for them; the check's tests on open blocks share lines with
-the steps they guard, so they cost listing no line.  ``trees._decode``
-is the one way back to labels: ``_rendered``, for ``enumerate_convex`` and
-the CLI's ``list``, looks up each block a character adds in a memo by mask
-that lives as long as the stream and holds at most 8n renderings, renders
-only the blocks it misses, from names the caller may encode once per tree,
-and keeps one slot per smallest taxon id; a solver decodes its answer.
-``Character`` objects built from masks go through the trusted
-``Character._canonical``.
+that the counting DP gives per vertex and edge state when it weights each
+closing block (``counting._least_blocks``), and that the stream adds up
+per option by the edge rule in min-plus form.  Listing passes neither and
+pays one test per walk and per choice point for them; the check's tests on
+open blocks share lines with the steps they guard, so they cost listing no
+line.  ``trees._decode`` is the one way back to labels: ``_rendered``, for
+``enumerate_convex`` and the CLI's ``list``, looks up each block a
+character adds in a memo by mask that lives as long as the stream and
+holds at most 8n renderings, renders only the blocks it misses, from names
+the caller may encode once per tree, and keeps one slot per smallest taxon
+id; a solver decodes its answer.  ``Character`` objects built from masks
+go through the trusted ``Character._canonical``.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from functools import cache
 from itertools import compress
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .counting import _dp_tables, _joined_children, _partners
+from .counting import _dp_tables, _joined_children, _least_blocks, _partners
 from .trees import Tree, _decode
 
 R = TypeVar("R")
@@ -276,14 +277,13 @@ def _block_stream(
     rejected before the walk enters it, at a choice point as the walk
     pushes it or pops back to it, when the blocks closed so far, the
     fewest that the option closes at or below its vertex and the fewest
-    that the pending steps add reach the limit.  ``fewest`` is the edge
-    rule in min-plus form: a pair of child states adds its children's
-    floors (``least``), plus 1 where two open blocks reach k and close.
-    The first test against a limit builds ``least`` for every vertex,
-    children first, one ``fewest`` per state over the pairs of all its
-    options, kept per mask triple like the options (``state_pairs``); a
-    choice point's test takes ``fewest`` over its option's pairs.  Listing,
-    with neither, joins blocks through the live list's own methods.
+    that the pending steps add reach the limit.  The per-vertex floors,
+    ``least``, come from one counting DP (``counting._least_blocks``), run
+    at the first test against a limit, so a scan that never has one never
+    pays for them; an option's floor (``option_floor``) is the edge rule in
+    min-plus form over its pairs of child states: each adds its children's
+    floors, plus 1 where two open blocks reach k and close.  Listing, with
+    neither, joins blocks through the live list's own methods.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -401,42 +401,28 @@ def _block_stream(
     if pruned:
         least: list[tuple[int | None, ...]] = []  # None outside the support
 
-        def pairs(S_f: int, g_allowed: dict[int, int]) -> list[tuple[int, int]]:
-            """The pairs (j1, j2) of f's and g's edge states that an option
-            allows: j1 in S_f and j2 in ``g_allowed[j1]``."""
-            return [(j1, j2) for j1 in states if S_f >> j1 & 1
-                    for j2 in states if g_allowed[j1] >> j2 & 1]
-
-        @cache  # lives as long as this stream
-        def state_pairs(F: int, G: int, S: int) -> list[tuple[int, int]]:
-            """The pairs of all options of a vertex whose edge is in S and
-            whose child edges have the states F and G: g's edge cut or open
-            (see ``cases``)."""
-            fs, g_open, _ = cases(F, G, S)
-            return pairs(fs[0] | fs[2], g_cut) + pairs(fs[1] | fs[3], g_open)
-
-        def fewest(v: int, S: int, allowed: Iterable[tuple[int, int]]) -> tuple[int, int]:
-            """Fewest blocks that close at or below v, when v's edge is in S
-            and its child edges take one of the ``allowed`` pairs of
-            states, and the fewest of them that close outside f's subtree:
-            in g's or at v."""
-            f, g = children[v]
-            least_f, least_g = least[f], least[g]
-            closes = S == 1  # two open blocks close at v when its edge is cut
-            own = rest = n  # no option closes more
-            for j1, j2 in allowed:
-                cost = least_g[j2] + (closes and j1 > 0 and j2 > 0)
-                if cost < rest:
-                    rest = cost
-                if least_f[j1] + cost < own:
-                    own = least_f[j1] + cost
-            return own, rest
-
         @cache  # lives as long as this stream
         def option_floor(v: int, S: int, c: int) -> tuple[int, int]:
-            """``fewest`` on v's option from case c on when v's edge is in S."""
-            S_f, (_, g_allowed, _, _, _), _ = option(v, S, c)
-            return fewest(v, S, pairs(S_f, g_allowed))
+            """Fewest blocks that close at or below v on v's option from case
+            c on when v's edge is in S, and the fewest of them that close
+            outside f's subtree: in g's or at v.  The edge rule in min-plus
+            form, over the option's pairs of child states (j1 in S_f, j2 in
+            ``g_allowed[j1]``): each adds its children's floors, plus 1 where
+            two open blocks reach k and close at v."""
+            S_f, (g, g_allowed, _, _, _), _ = option(v, S, c)
+            least_f, least_g = least[children[v][0]], least[g]
+            closes = S == 1  # two open blocks close at v when its edge is cut
+            own = rest = n  # no option closes more
+            for j1 in states:
+                if S_f >> j1 & 1:
+                    for j2 in states:
+                        if g_allowed[j1] >> j2 & 1:
+                            cost = least_g[j2] + (closes and j1 > 0 and j2 > 0)
+                            if cost < rest:
+                                rest = cost
+                            if least_f[j1] + cost < own:
+                                own = least_f[j1] + cost
+            return own, rest
 
         summed = [None, 0]  # the chain of pending steps summed last, and its sum
 
@@ -446,14 +432,8 @@ def _block_stream(
             ``cont``, has at least ``limit[0]`` blocks.  Chains of pending
             steps share their tails, so a sum stops at the chain summed
             last."""
-            if not least:  # a leaf's edge is cut as a singleton (k = 1) or open
-                least[:] = [(1 if k == 1 else None, 0)] * len(children)
-                for u in (*range(len(children) - 2, n - 1, -1), len(children) - 1):
-                    f, g = children[u]
-                    F, G, U = support[f], support[g], support[u]
-                    least[u] = tuple(  # per state, over the pairs of all its options
-                        fewest(u, 1 << s, state_pairs(F, G, 1 << s))[0] if U >> s & 1 else None
-                        for s in range(U.bit_length()))
+            if not least:
+                least[:] = _least_blocks(tree, k)
             total, chain = 0, cont
             while chain is not None and chain is not summed[0]:
                 step, chain = chain

@@ -12,13 +12,16 @@ crosses it with j taxa below, j saturating at k, which is sound because only
 put the edge above them in state min(j1 + j2, k), as a cut child passes the
 other's state up and two open blocks merge; when both were open and the sum
 reaches k, the block may also close, state 0.  :func:`_dp_tables` applies it
-to whole vectors, :func:`_partners` in mask form for the enumeration, and
-:func:`_join` pointwise, as the tests' reference.  The block stream of
-``characters`` also applies it per pair of child states in min-plus form,
-for the fewest blocks that close below each edge state: a floor on the block
-count of every character below a choice point, where the pruned scans of
-``solvers`` cut.  Vectors stop at min(k, taxa below), so the DP's big-int
-work is O(n * k) by the subtree-size argument.
+to whole vectors and :func:`_partners` in mask form, for the enumeration.
+Weighting each block that closes by 2**B packs the DP's entries into B-bit
+fields by block number, and :func:`_least_blocks` reads off the lowest
+nonzero one: the fewest blocks that close below each edge state, a floor on
+the block count of every character below a choice point, where the pruned
+scans of ``solvers`` cut.  The block stream of ``characters`` applies the
+rule per pair of child states in min-plus form only to add up those floors
+over one option.  Vectors stop at min(k, taxa below), so the DP's big-int
+work is O(n * k) by the subtree-size argument; a packed entry holds at most
+n/k + 1 fields of B = O(n) bits.
 """
 
 from __future__ import annotations
@@ -69,20 +72,10 @@ def count_closed_k2(n: int) -> int:
     return fibonacci(n - 1)
 
 
-def _join(j1: int, j2: int, k: int) -> tuple[int, ...]:
-    """States of the edge above a vertex whose child edges are in states
-    ``j1`` and ``j2``, by the edge rule (module docstring): the pointwise
-    reference the tests hold the DP and :func:`_partners` to."""
-    if not (j1 and j2):
-        return (j1 + j2,)
-    s = min(j1 + j2, k)
-    return (s, 0) if s == k else (s,)
-
-
 def _partners(J: int, S: int, k: int) -> int:
     """The edge rule (module docstring) in mask form, bit s for state s:
-    the states j2 of one child edge for which ``_join(j1, j2, k)`` meets
-    the allowed set ``S`` for some state j1 of the other in the mask ``J``.
+    the states j2 of one child edge that the rule joins, with some state j1
+    of the other in the mask ``J``, into a state of the allowed set ``S``.
     O(1) int operations, plus one shift per state of ``J`` in 1..k-2."""
     m = S if J & 1 else 0  # j1 = 0 passes j2 up
     J &= -2
@@ -108,7 +101,7 @@ def _joined_children(tree: Tree) -> tuple[tuple[int, ...], ...]:
     return children + ((children[0][0], 0),)
 
 
-def _dp_tables(tree: Tree, k: int) -> Iterator[tuple[int, Sequence[int]]]:
+def _dp_tables(tree: Tree, k: int, weight: int = 1) -> Iterator[tuple[int, Sequence[int]]]:
     """Per-vertex DP vectors for the edge above each vertex.
 
     Yields ``(v, vec)`` for every vertex, children first in the order of
@@ -119,11 +112,17 @@ def _dp_tables(tree: Tree, k: int) -> Iterator[tuple[int, Sequence[int]]]:
     part of ``vec[k]`` where both child edges were open.  A vector is
     dropped once its parent's is built.  Shared with the enumeration
     backtracker so listing explores no dead branches.
+
+    Each block that closes multiplies its partial solutions by ``weight``,
+    so an entry is the polynomial in ``weight`` whose coefficient r counts
+    the partial solutions with r closed blocks: counting and listing pass
+    1, :func:`_least_blocks` a power of 2 that keeps the coefficients
+    apart.
     """
     n = tree.n
     children = _joined_children(tree)
     cap = [min(s, k) for s in range(2 * k + 1)]  # sums of two states, saturating
-    leaf = (int(k == 1), 1)  # a singleton block needs k == 1
+    leaf = (weight if k == 1 else 0, 1)  # a singleton block needs k == 1
     vecs: list[Sequence[int] | None] = [None] * len(children)
     top = len(children) - 1
     for v in (*range(1, n), *range(top - 1, n - 1, -1), 0, top):
@@ -140,13 +139,29 @@ def _dp_tables(tree: Tree, k: int) -> Iterator[tuple[int, Sequence[int]]]:
                         if y:
                             vec[cap[s]] += x * y
             if len(vec) > k:  # two open blocks that reach k may also close
-                vec[0] += vec[k]
+                closing = vec[k]
                 if vf[0] and len(vg) > k:
-                    vec[0] -= vf[0] * vg[k]
+                    closing -= vf[0] * vg[k]
                 if vg[0] and len(vf) > k:
-                    vec[0] -= vf[k] * vg[0]
+                    closing -= vf[k] * vg[0]
+                vec[0] += closing if weight == 1 else closing * weight
         vecs[v] = vec
         yield v, vec
+
+
+def _least_blocks(tree: Tree, k: int) -> list[tuple[int | None, ...]]:
+    """Per vertex and edge state, the fewest blocks that close at or below
+    the vertex, None where the DP's count is 0: the lowest nonzero field of
+    the DP run with ``weight = 2**B``, which packs each entry's counts by
+    block number into B-bit fields.  A field counts partial solutions
+    below a vertex, each a convex character of the taxa below it and one
+    more, so it is at most F(2n + 1), the k = 1 count on n + 1 taxa, and B
+    bits hold it.  Needs n >= 2."""
+    B = fibonacci(2 * tree.n + 1).bit_length()
+    least: list[tuple[int | None, ...]] = [()] * (tree.num_vertices() + 1)
+    for v, vec in _dp_tables(tree, k, 1 << B):
+        least[v] = tuple(((x & -x).bit_length() - 1) // B if x else None for x in vec)
+    return least
 
 
 def count_convex(tree: Tree, k: int = 1) -> int:

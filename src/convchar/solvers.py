@@ -15,8 +15,8 @@ incumbent improves ``_scan`` turns it into the stream's limit, the least
 block count whose characters cannot beat the incumbent.  The stream
 applies the limit at each choice point before it walks in, against the
 blocks closed so far plus the fewest blocks below the option and its
-pending steps, floors it builds from its own options, and to each block
-as it closes.  Agreement's value is its block count, so its floor is b
+pending steps, floors from the counting DP (``counting._least_blocks``),
+and to each block as it closes.  Agreement's value is its block count, so its floor is b
 and its limit the incumbent.  Its block check (:func:`_agreeing_blocks`),
 the stream's ``check``, also rejects a block that restricts differently
 in the trees or whose spanning subtree in the second tree meets that of a

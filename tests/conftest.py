@@ -37,3 +37,14 @@ def line_events(run, modules):
     finally:
         sys.settrace(before)
     return events
+
+
+def join_states(j1, j2, k):
+    """States of the edge above a vertex whose child edges are in states
+    ``j1`` and ``j2``, by the edge rule (``counting``'s module docstring):
+    the pointwise reference the DP's and the stream's forms of the rule are
+    held to."""
+    if not (j1 and j2):
+        return (j1 + j2,)
+    s = min(j1 + j2, k)
+    return (s, 0) if s == k else (s,)

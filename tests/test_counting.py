@@ -1,4 +1,7 @@
+import hashlib
 import tracemalloc
+from collections import Counter
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +27,7 @@ from convchar import (
     split_recurrence_holds,
 )
 from convchar.characters import _block_stream
-from convchar.counting import _join, _partners
+from convchar.counting import _dp_tables, _partners
 from convchar.verify import (
     cherry_bound,
     closed_forms,
@@ -32,6 +35,8 @@ from convchar.verify import (
     small_n_counts,
     two_block_floor,
 )
+
+from conftest import join_states
 
 
 class TestCountConvex:
@@ -91,16 +96,17 @@ class TestCountConvex:
 
 
 class TestEdgeRule:
-    """The edge rule of ``counting``'s docstring: ``_join`` states it
-    pointwise, as the reference, and ``_partners``, which the listing
-    stream reads, in mask form; the DP is held to it by the brute-force
-    counts."""
+    """The edge rule of ``counting``'s docstring: ``join_states``
+    (``conftest.py``) states it pointwise, as the reference, and
+    ``_partners``, which the listing stream reads, in mask form; the DP is
+    held to it by the brute-force counts."""
 
     @staticmethod
     def partners_by_join(J, S, k):
         return sum(
             1 << j2 for j2 in range(k + 1)
-            if any(S >> s & 1 for j1 in range(k + 1) if J >> j1 & 1 for s in _join(j1, j2, k))
+            if any(S >> s & 1 for j1 in range(k + 1) if J >> j1 & 1
+                   for s in join_states(j1, j2, k))
         )
 
     def test_each_state_against_join(self):
@@ -134,6 +140,19 @@ def stream_floors(tree, k):
 class TestLeastBlocks:
     """The block stream's floors, the edge rule in min-plus form, against
     the characters themselves."""
+
+    def test_floors_digest(self):
+        """Every floor of 404 streams (``random_tree`` n = 3..16, seeds
+        0..5, and the 2-taxon tree, k = 1..min(5, n)), hashed as recorded
+        when the stream still built them from its own options."""
+        digest = hashlib.sha256()
+        for n in range(2, 17):
+            trees = [caterpillar(2)] if n == 2 else [random_tree(n, seed=s) for s in range(6)]
+            for tree in trees:
+                for k in range(1, min(5, n) + 1):
+                    digest.update(repr(list(stream_floors(tree, k))).encode())
+        assert digest.hexdigest() == (
+            "0944439e9d4b98dfe675a44cf78df4a0e50328bdf05e5395c160927b5d56f724")
 
     def test_top_is_the_fewest_blocks_of_any_character(self):
         """The one-block character always exists, so the top vertex's floor
@@ -170,6 +189,50 @@ class TestLeastBlocks:
                         if want[s] is None or len(closed) < want[s]:
                             want[s] = len(closed)
                 assert list(least[v]) == want, (v, k)
+
+
+def counts_by_blocks(tree, k):
+    """The top's ``vec[0]`` of the DP run with ``weight = 2**B``, cut into
+    its B-bit fields, B as in ``counting._least_blocks``: at index r, the
+    number of characters with r blocks, if no field overflows."""
+    B = fibonacci(2 * tree.n + 1).bit_length()
+    for _, vec in _dp_tables(tree, k, 1 << B):
+        pass  # the last vector is the top vertex's
+    packed, fields = vec[0], []
+    while packed:
+        fields.append(packed & (1 << B) - 1)
+        packed >>= B
+    return fields
+
+
+class TestCountsByBlocks:
+    """The DP with each closing block weighted by 2**B counts the
+    characters by block number, one B-bit field each (Kronecker
+    substitution): the packing that ``_least_blocks`` reads the floors
+    from."""
+
+    def test_fields_are_the_streams_block_counts(self):
+        for n in range(3, 13):
+            for tree in (caterpillar(n), random_tree(n, seed=n)):
+                for k in range(1, 5):
+                    tally = Counter(len(live) for live, _, _ in _block_stream(tree, k))
+                    want = [tally[r] for r in range(max(tally, default=-1) + 1)]
+                    assert counts_by_blocks(tree, k) == want, (tree.canonical_newick(), k)
+
+    def test_topology_free_identities(self):
+        """C(2n - r - 1, r - 1) characters with r blocks at k = 1 and
+        C(n - r - 1, r - 1) at k = 2, on every topology, summing to the
+        count.  At n = 120 the widest field, r = 67 at k = 1, takes 162 of
+        its B = 167 bits."""
+        for n in (3, 4, 7, 12, 30, 31, 64, 119, 120):
+            for tree in (caterpillar(n), random_tree(n, seed=n)):
+                for k, want in (
+                    (1, [0] + [comb(2 * n - r - 1, r - 1) for r in range(1, n + 1)]),
+                    (2, [0] + [comb(n - r - 1, r - 1) for r in range(1, n // 2 + 1)]),
+                ):
+                    fields = counts_by_blocks(tree, k)
+                    assert fields == want, (tree.canonical_newick(), k)
+                    assert sum(fields) == count_convex(tree, k)
 
 
 class TestClosedForms:

@@ -8,9 +8,9 @@ is kept verbatim, as the judge of the order and content of
 is the oracle's without every character that holds a rejected block, and
 as the check is upward-closed, offering it the blocks while they are
 still open changes nothing more.  The work gates count the line events of
-the code in ``characters.py`` with ``line_events`` (``conftest.py``),
-helpers nested in the stream included, so the library carries no counter
-for them.
+the code in ``characters.py``, and of ``counting.py`` where the DP runs on
+both sides, with ``line_events`` (``conftest.py``), helpers nested in the
+stream included, so the library carries no counter for them.
 """
 
 import random
@@ -35,10 +35,10 @@ from convchar import (
     solvers,
 )
 from convchar.characters import _block_stream
-from convchar.counting import _dp_tables, _join, _joined_children
+from convchar.counting import _dp_tables, _joined_children
 from convchar.trees import Tree
 
-from conftest import line_events
+from conftest import join_states, line_events
 
 CAP = 20_000  # characters compared per stream
 
@@ -47,10 +47,11 @@ def oracle_stream(tree: Tree, k: int) -> Iterator[tuple[int, ...]]:
     """Block-mask tuples of every convex character of ``tree`` with min
     block size >= k, in stream order (see enumerate_convex).
 
-    Explicit-stack backtracking over the DP's edge states (counting._join):
-    an option fixes each child edge cut or open, f before g in encoding
-    order, and g's allowed states follow from the state f reached.  Open
-    blocks keep their taxa on a linked stack, so merging costs nothing.
+    Explicit-stack backtracking over the DP's edge states (``join_states``
+    in ``conftest.py``): an option fixes each child edge cut or open, f
+    before g in encoding order, and g's allowed states follow from the
+    state f reached.  Open blocks keep their taxa on a linked stack, so
+    merging costs nothing.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -65,7 +66,7 @@ def oracle_stream(tree: Tree, k: int) -> Iterator[tuple[int, ...]]:
     for v, vec in _dp_tables(tree, k):
         support[v] = sum(1 << s for s, x in enumerate(vec) if x)
     states = range(k + 1)
-    join = [[sum(1 << s for s in _join(j1, j2, k)) for j2 in states] for j1 in states]
+    join = [[sum(1 << s for s in join_states(j1, j2, k)) for j2 in states] for j1 in states]
     halves = ((0,), range(1, k + 1))  # cut, open
 
     @cache  # lives as long as this stream
@@ -505,21 +506,23 @@ def swapped(tree, i, j):
 def test_agreement_prunes_the_stream():
     """The agreement scan checks each block as it closes and while it is open,
     and draws no character below a rejected one: all of its line events
-    in ``characters.py`` and ``solvers.py`` stay under half of those of
-    drawing every character of the scanned tree, scoring left out.  On a
-    random 19-taxon pair at k = 2 (no agreement forest) and a 12-taxon
-    tree against itself with two taxa swapped at k = 1 (three
-    components), they read 12.9 and 37.1 times fewer, the stream's floors
-    built in ``characters.py`` included, and must stay at least 10 and 30
-    times fewer.  Checking blocks only as they closed
-    read 5.68 and 21.1."""
+    in ``characters.py``, ``counting.py`` and ``solvers.py`` stay under
+    half of those of drawing every character of the scanned tree in
+    ``characters.py`` and ``counting.py``, scoring left out.  On a random
+    19-taxon pair at k = 2 (no agreement forest) and a 12-taxon tree
+    against itself with two taxa swapped at k = 1 (three components), they
+    read 12.2 and 36.7 times fewer, the DP runs on both sides and the
+    stream's floors included, and must stay at least 10 and 30 times
+    fewer.  Checking blocks only as they closed read 5.68 and 21.1, with
+    ``counting.py`` left out of both sides."""
     pairs = (
         (random_tree(19, seed=0), random_tree(19, seed=100), 2, 10),
         (random_tree(12, seed=0), swapped(random_tree(12, seed=0), 3, 9), 1, 30),
     )
     for t1, t2, k, fewer in pairs:
-        drawn = line_events(lambda: deque(_block_stream(t1, k), maxlen=0), (characters,))
+        drawn = line_events(lambda: deque(_block_stream(t1, k), maxlen=0),
+                            (characters, counting))
         pruned = line_events(lambda: agreement_forest_min_components(t1, t2, k),
-                             (characters, solvers))
+                             (characters, counting, solvers))
         assert 2 * pruned <= drawn, (t1.n, k, drawn, pruned)
         assert fewer * pruned <= drawn, (t1.n, k, drawn, pruned)
