@@ -154,10 +154,16 @@ def _least_blocks(tree: Tree, k: int) -> list[tuple[int | None, ...]]:
     the vertex, None where the DP's count is 0: the lowest nonzero field of
     the DP run with ``weight = 2**B``, which packs each entry's counts by
     block number into B-bit fields.  A field counts partial solutions
-    below a vertex, each a convex character of the taxa below it and one
-    more, so it is at most F(2n + 1), the k = 1 count on n + 1 taxa, and B
+    below a vertex with m <= n taxa below it, each a convex character of
+    those m taxa and a taxon x hung on the edge above, so at k = 1 it is
+    at most F(2n + 1), the k = 1 count on n + 1 taxa.  At k >= 2 every
+    block but x's has at least k >= 2 taxa: when x's block has 2 or more,
+    the partition is a level-2 character of m + 1 taxa, at most F(m) of
+    them; when x is alone, the rest is a level-k character of the m taxa,
+    at most F(m - 1).  So a field is at most F(m + 1) <= F(n + 1), and B
     bits hold it.  Needs n >= 2."""
-    B = fibonacci(2 * tree.n + 1).bit_length()
+    n = tree.n
+    B = fibonacci(n + 1 if k > 1 else 2 * n + 1).bit_length()
     least: list[tuple[int | None, ...]] = [()] * (tree.num_vertices() + 1)
     for v, vec in _dp_tables(tree, k, 1 << B):
         least[v] = tuple(((x & -x).bit_length() - 1) // B if x else None for x in vec)

@@ -32,10 +32,8 @@ rewrites before it is read (see :func:`_agreeing_blocks`).
 
 The objective's floor is the Fitch floor, b - 1 per tree: b blocks score
 at least b - 1 on every tree, with equality exactly when the partition is
-convex there, so over m trees its limit is ceil(best / m) + 1.  The
-objective scores the scanned tree as b - 1 without a Fitch pass, and
-rejects a character between Fitch passes once its exact scores so far
-plus b - 1 per tree left reach the incumbent.
+convex there, so the objective scores the scanned tree as b - 1 without
+a Fitch pass.
 
 Before the walk, a pruned scan scores the one-block character if it
 passes the block check: every other character has at least 2 blocks, so
@@ -68,30 +66,6 @@ MODES = (
     "objective_optimize",
 )
 OBJECTIVES = ("sum_parsimony",)
-
-
-def _sum_parsimony(
-    masks: Sequence[int], trees: Sequence[Tree], best: int | None, scanned: Tree
-) -> int | None:
-    """Sum of the Fitch scores of the partition on ``trees``, or None once
-    it cannot beat the incumbent ``best``.
-
-    A partition into b blocks scores at least b - 1 on any tree, exactly
-    b - 1 on a tree it is convex on, so on ``scanned`` (the tree whose
-    stream it came from) it scores b - 1 with no Fitch pass.  ``total``
-    holds the exact scores so far plus that floor for every tree left, a
-    lower bound on the sum, and the partition is rejected as soon as a
-    Fitch pass brings the bound to ``best``.  The floor alone is below
-    ``best``: the scan's block limit ends every partition it is not below.
-    """
-    floor = len(masks) - 1
-    total = floor * len(trees)
-    for t in trees:
-        if t is not scanned:
-            total += _parsimony(t, masks) - floor
-            if best is not None and total >= best:
-                return None
-    return total
 
 
 def _require_same_taxa(trees: Sequence[Tree]) -> None:
@@ -237,10 +211,9 @@ def _scan(
     one with the lowest value; with ``first_only``, stop at the first
     accepted one.
 
-    ``score(masks, best)`` gets the block masks, a list that the stream
-    reuses for the next character, and the incumbent value (None before
-    the first hit) and returns the character's value, or None to reject
-    it; only a new incumbent's masks are copied.
+    ``score(masks)`` gets the block masks, a list that the stream reuses
+    for the next character, and returns the character's value, or None to
+    reject it; only a new incumbent's masks are copied.
 
     With ``floor(b)``, a lower bound on the value of every character with
     at least b blocks, the scan prunes the stream (see
@@ -264,12 +237,12 @@ def _scan(
     limit = None if floor is None else [tree.n + 1]
     whole = (1 << tree.n) - 1
     if limit is not None and k <= tree.n and (check is None or check(whole, 0)):
-        value = score([whole], None)
+        value = score([whole])
         if value is not None and value < floor(2):
             best, best_value = (whole,), value
     for masks, _, _ in () if best is not None else _block_stream(tree, k, check, limit):
         scanned += 1
-        value = score(masks, best_value)
+        value = score(masks)
         if value is not None and (best_value is None or value < best_value):
             best, best_value = tuple(masks), value
             if first_only:
@@ -303,7 +276,7 @@ def agreement_forest_min_components(t1: Tree, t2: Tree, k: int = 1) -> SolveResu
     level-k count of t1.
     """
     _require_same_taxa([t1, t2])
-    return _scan(t1, k, lambda masks, best: len(masks), lambda b: b, _agreeing_blocks((t1, t2)))
+    return _scan(t1, k, len, lambda b: b, _agreeing_blocks((t1, t2)))
 
 
 def quartet_exact_partition(trees: Sequence[Tree]) -> SolveResult:
@@ -320,7 +293,7 @@ def quartet_exact_partition(trees: Sequence[Tree]) -> SolveResult:
     n = trees[0].n
     agree = _agreeing_blocks(trees)
 
-    def score(masks, best):
+    def score(masks):
         # Every block holds >= 4 taxa, so all hold exactly 4 iff there are n/4.
         if 4 * len(masks) == n and all(map(agree, masks, range(len(masks)))):
             return len(masks)
@@ -342,9 +315,11 @@ def optimize_objective(
     decided, pruned by the objective's floor, so characters_scanned equals
     the level-k count of ``tree``.
 
-    With ``sum_parsimony`` and k <= n the answer is always the one-block
-    character with value 0, below the floor of len(trees) >= 1 at 2 blocks,
-    so ``_scan`` returns it without building the stream.
+    ``sum_parsimony`` sums a character's Fitch scores over ``trees``, with
+    ``tree`` itself scored as b - 1 without a Fitch pass.  With k <= n
+    the answer is always the one-block character with value 0, below the
+    floor of len(trees) >= 1 at 2 blocks, so ``_scan`` returns it without
+    building the stream, at one Fitch pass per tree other than ``tree``.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
@@ -353,7 +328,8 @@ def optimize_objective(
         raise ValueError("need at least one tree to score against")
     _require_same_taxa((tree, *trees))
     return _scan(
-        tree, k, lambda masks, best: _sum_parsimony(masks, trees, best, tree),
+        tree, k,
+        lambda masks: sum(len(masks) - 1 if t is tree else _parsimony(t, masks) for t in trees),
         lambda b: (b - 1) * len(trees),
     )
 

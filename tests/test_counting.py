@@ -2,6 +2,7 @@ import hashlib
 import tracemalloc
 from collections import Counter
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -26,8 +27,9 @@ from convchar import (
     rate_table_tsv,
     split_recurrence_holds,
 )
+from convchar import counting
 from convchar.characters import _block_stream
-from convchar.counting import _dp_tables, _partners
+from convchar.counting import _dp_tables, _least_blocks, _partners
 from convchar.verify import (
     cherry_bound,
     closed_forms,
@@ -190,19 +192,53 @@ class TestLeastBlocks:
                             want[s] = len(closed)
                 assert list(least[v]) == want, (v, k)
 
+    def test_fields_fit_the_packing_width(self):
+        """At k >= 2 ``_least_blocks`` packs at F(n + 1) bits, not the
+        F(2n + 1) of k = 1.  On random, caterpillar and fully loaded trees,
+        n = 10..120, every field of every DP entry at its width equals the
+        field at F(2n + 1) bits, so none carries into the next, and the
+        floors are those read at F(2n + 1) bits.  At n = 120, k = 2 the
+        widest field takes 79 of its B = 83 bits."""
+        for n in range(10, 121):
+            wide = fibonacci(2 * n + 1).bit_length()
+            for k in (2, 3, 5):
+                for tree in (random_tree(n, seed=n), caterpillar(n), fully_loaded(n, k)):
+                    B = packing_width(tree, k)
+                    assert B == fibonacci(n + 1).bit_length()
+                    want = [()] * (tree.num_vertices() + 1)
+                    for (v, vec), (_, wide_vec) in zip(
+                            _dp_tables(tree, k, 1 << B), _dp_tables(tree, k, 1 << wide)):
+                        assert [fields(x, B) for x in vec] == [fields(x, wide) for x in wide_vec]
+                        want[v] = tuple(
+                            ((x & -x).bit_length() - 1) // wide if x else None for x in wide_vec)
+                    assert _least_blocks(tree, k) == want, (n, k)
+
+
+def packing_width(tree, k):
+    """The field width B of ``counting._least_blocks``, read off the
+    ``weight = 2**B`` it runs the DP with."""
+    with mock.patch.object(counting, "_dp_tables", wraps=_dp_tables) as dp:
+        _least_blocks(tree, k)
+    return dp.call_args.args[2].bit_length() - 1
+
+
+def fields(packed, B):
+    """The B-bit fields of a packed DP entry, lowest first."""
+    out = []
+    while packed:
+        out.append(packed & (1 << B) - 1)
+        packed >>= B
+    return out
+
 
 def counts_by_blocks(tree, k):
     """The top's ``vec[0]`` of the DP run with ``weight = 2**B``, cut into
     its B-bit fields, B as in ``counting._least_blocks``: at index r, the
     number of characters with r blocks, if no field overflows."""
-    B = fibonacci(2 * tree.n + 1).bit_length()
+    B = packing_width(tree, k)
     for _, vec in _dp_tables(tree, k, 1 << B):
         pass  # the last vector is the top vertex's
-    packed, fields = vec[0], []
-    while packed:
-        fields.append(packed & (1 << B) - 1)
-        packed >>= B
-    return fields
+    return fields(vec[0], B)
 
 
 class TestCountsByBlocks:
@@ -222,8 +258,9 @@ class TestCountsByBlocks:
     def test_topology_free_identities(self):
         """C(2n - r - 1, r - 1) characters with r blocks at k = 1 and
         C(n - r - 1, r - 1) at k = 2, on every topology, summing to the
-        count.  At n = 120 the widest field, r = 67 at k = 1, takes 162 of
-        its B = 167 bits."""
+        count, each field at the width ``_least_blocks`` packs at.  At
+        n = 120 the widest field, r = 67 at k = 1, takes 162 of its
+        B = 167 bits, and r = 34 at k = 2 takes 79 of its B = 83."""
         for n in (3, 4, 7, 12, 30, 31, 64, 119, 120):
             for tree in (caterpillar(n), random_tree(n, seed=n)):
                 for k, want in (

@@ -27,7 +27,7 @@ from convchar import (
 )
 from convchar.bruteforce import _convex
 from convchar.characters import _block_stream, _parsimony
-from convchar.solvers import _agreeing_blocks, _restricted_splits, _scan, _sum_parsimony
+from convchar.solvers import _agreeing_blocks, _restricted_splits, _scan
 from convchar.trees import Split, _decode
 
 
@@ -339,17 +339,21 @@ class TestPrunedScans:
     )
     def test_pruned_objective_scan_matches_reference(self, n, k, seeds, data):
         """The one-block character ends every public objective scan before
-        the walk, so here it is rejected unscored and the floor and
-        _sum_parsimony's bound decide the scan."""
+        the walk, so here it is rejected unscored and the floor decides the
+        scan."""
         tree, *trees = (random_tree(n, seed=s) if n >= 3 else caterpillar(n) for s in seeds)
         if data.draw(st.booleans(), label="scanned tree is scored"):
             trees[data.draw(st.integers(0, len(trees) - 1))] = tree
 
-        def score(masks, best):
-            return None if len(masks) == 1 else _sum_parsimony(masks, trees, best, tree)
+        def score(masks):
+            if len(masks) == 1:
+                return None
+            return sum(len(masks) - 1 if t is tree else _parsimony(t, masks) for t in trees)
 
         res = _scan(tree, k, score, lambda b: (b - 1) * len(trees))
-        assert outcome(res) == reference_scan(tree, k, score)
+        assert outcome(res) == reference_scan(
+            tree, k,
+            lambda masks, best: None if len(masks) == 1 else sum(_parsimony(t, masks) for t in trees))
 
     @settings(max_examples=60, deadline=None)
     @given(pair=tree_pairs(st.sampled_from((4, 8, 12, 16)), loaded=True))
