@@ -19,9 +19,9 @@ is rebuilt only from its last choice point up to the first pending step
 whose continuation is unchanged, and the previous character's blocks from
 there on are spliced back, so its Python work follows the changed region,
 not the depth of the tree.  A subtree that the allowed state of its edge
-leaves with exactly one completion (the DP's count is 1) is walked at most
-twice per stream, the second time to record its blocks, and from then on
-spliced in whole, like a leaf.  A solver may prune the stream with an
+leaves with exactly one completion (the DP's count is 1) is recorded by
+the first walk that finishes it, and from then on spliced in whole, like
+a leaf.  A solver may prune the stream with an
 upward-closed ``check``, which sees each block while it is open, wherever
 two open blocks merge, and again as it joins a character, and with a
 block limit: a rejected block ends every character below the last choice
@@ -32,15 +32,14 @@ the fewest blocks below the branch and its pending steps reach it, floors
 that the counting DP gives per vertex and edge state when it weights each
 closing block (``counting._least_blocks``), and that the stream adds up
 per option by the edge rule in min-plus form.  Listing passes neither and
-pays one test per walk and per choice point for them; the check's tests on
-open blocks share lines with the steps they guard, so they cost listing no
-line.  ``trees._decode`` is the one way back to labels: ``_rendered``, for
-``enumerate_convex`` and the CLI's ``list``, looks up each block a
-character adds in a memo by mask that lives as long as the stream and
-holds at most 8n renderings, renders only the blocks it misses, from names
-the caller may encode once per tree, and keeps one slot per smallest taxon
-id; a solver decodes its answer.  ``Character`` objects built from masks
-go through the trusted ``Character._canonical``.
+pays one test per walk, per choice point and per merge that leaves a block
+open for them.  ``trees._decode`` is the one way back to labels:
+``_rendered``, for ``enumerate_convex`` and the CLI's ``list``, looks up
+each block a character adds in a memo by mask that lives as long as the
+stream and holds at most 8n renderings, renders only the blocks it
+misses, from names the caller may encode once per tree, and keeps one
+slot per smallest taxon id; a solver decodes its answer.  ``Character``
+objects built from masks go through the trusted ``Character._canonical``.
 """
 
 from __future__ import annotations
@@ -233,15 +232,19 @@ def _block_stream(
     one exists is one more mask test.  Their allowed states come from a few
     mask operations (counting._partners) on the states the vertex's and
     its child edges can have, so vertices with the same three masks share
-    them.  All of it is kept for the life of the stream.  Open blocks keep
-    their taxa, as masks, on a linked stack, so merging costs nothing.
+    them.  All of it is kept for the life of the stream.  Each open block
+    is one entry on a linked stack, its taxa as a mask: a merge folds two
+    entries into one, and the stack is persistent, so the saved choice
+    points stay valid.
 
     A step is forced when its allowed set is one state that the edge
     reaches in exactly one way (the DP's count is 1): the subtree below it
-    has one completion and no choice point.  The first entry walks it; the
-    second records its closed blocks and open taxa (``collapse``), and
-    every entry from then on, in any character, appends those blocks and
-    pushes the open taxa as one entry, like a leaf.
+    has one completion and no choice point.  The first walk that finishes
+    it records its closed blocks, the state of its edge and the taxa of
+    its open block, and every entry from then on, in any character,
+    appends those blocks and pushes the open block as one entry, like a
+    leaf.  A walk rejected inside it records nothing, and forced subtrees
+    inside one being recorded are walked with it.
 
     A character after the first restarts at the last choice point, keeps
     the blocks closed before it, and climbs back only as far as the first
@@ -251,22 +254,19 @@ def _block_stream(
     ``check(mask, depth)`` must be upward-closed: when it rejects a mask,
     it rejects every superset of the mask at that depth and every later
     one, after the same blocks.  The stream offers it every block about to
-    join the live list, as it closes, as part of a ``collapse`` record or
+    join the live list, as it closes, as part of a record spliced in or
     spliced back, depth being its index in the list, so the check sees
     each live list grow in order and may keep state per depth.  It also
     offers an open block's taxa while they are still growing, at depth
     ``len(blocks)``: where an open f and an open g merge under an open
-    edge, and where a spliced ``collapse`` record leaves two open taxa or
+    edge, and where a spliced record leaves an open block of two taxa or
     more.  The block they end in holds them and joins at that depth or
     later, after the same blocks, so a rejection there, raised as at a
-    close (the splice records need no new rule), ends the walk before it
-    enters the sibling subtrees above.  Each open child then leaves one
-    entry on the chain, a merge folding its two into one, so a merge reads
-    two entries; chains are persistent, so the saved choice points stay
-    valid.  A rejection ends every character below the last choice point,
-    all of which hold the block: the stream pops to that point without
-    yielding, and ``dropped`` and ``added`` stay relative to the last
-    character it yielded.  Without a check nothing is folded or called.
+    close, ends the walk before it enters the sibling subtrees above.  A
+    rejection ends every character below the last choice point, all of
+    which hold the block: the stream pops to that point without yielding,
+    and ``dropped`` and ``added`` stay relative to the last character it
+    yielded.  Without a check nothing is called.
 
     ``limit``, a one-item list, holds the least block count that no
     character may reach, n + 1 when it is not given (no limit); the caller
@@ -340,47 +340,26 @@ def _block_stream(
         later = present & present - 1
         return fs[c], (g, g_open if c & 1 else g_cut, S, v, c), (later & -later).bit_length() - 1
 
-    @cache  # lives as long as this stream
-    def collapse(v: int, S: int) -> tuple[list[int], int, int]:
-        """The one completion below v when v's edge is in S and S is one
-        state with a count of 1: the blocks it closes, in stream order, the
-        state of v's edge, and the taxa of the block open on it (0 when it
-        is cut).  The stream's own walk, every option being the only one,
-        children first on an explicit stack."""
-        closed: list[int] = []
-        masks: list[int] = []  # open taxa of the finished children
-        todo = [(v, S, False)]
-        while todo:
-            u, S_u, done = todo.pop()
-            if u >= n and not done:
-                f_allowed, (g, g_allowed, _, _, _), _ = option(u, S_u, 0)
-                S_g = g_allowed[f_allowed.bit_length() - 1]
-                todo += (u, S_u, True), (g, S_g, False), (children[u][0], f_allowed, False)
-                continue
-            m = 1 << u if u < n else masks.pop() | masks.pop()
-            if S_u == 1 and m:  # the edge above u is cut: a block closes
-                closed.append(m)
-                m = 0
-            masks.append(m)
-        return closed, S.bit_length() - 1, masks[0]
-
     # Start at the top vertex, whose edge must end cut.  Pending steps in
-    # ``cont``: (start, (g, g_allowed, S_u, u, c)) waits for f and (start,
-    # j1, S_u, g) for g, where ``start`` is the open-taxa chain when their
-    # vertex u was entered, c is the case of u's option and j1 is the state
-    # f reached.
+    # ``cont``: an option's (g, g_allowed, S_u, u, c) waits for f and
+    # (j1, S_u, g) for g, where c is the case of u's option and j1 is the
+    # state f reached; (count, (v, S)) waits for a forced subtree that is
+    # walked for the first time, ``count`` being the block count when the
+    # walk entered it.
     #
     # A vertex has one live g step at a time, and the option that made it
-    # fixes g's edge cut or open.  With g's edge cut, the open taxa at the
-    # step are the ones f left, so all that follows is the same on every
-    # visit.  A visit records the block count in ``seen[g]`` and a cell in
-    # ``ends[g]`` that gets the character's final block count, unless a
-    # choice point is pushed later in that character; a new g step clears
-    # the record.  Every later character up to the next visit restarts
-    # below the step and ends with the same blocks after it, so the next
-    # visit to find a filled cell ends its character with the previous
-    # character's last ``ends[g][0] - seen[g]`` blocks.  A forced subtree
-    # pushes no choice point, so splicing it in keeps these records valid.
+    # fixes g's edge cut or open.  With g's edge cut, the open blocks at
+    # the step are the ones f left, so all that follows is the same on
+    # every visit.  A visit records the block count in ``seen[g]`` and a
+    # cell in ``ends[g]`` that gets the character's final block count,
+    # unless a choice point is pushed later in that character; a new g
+    # step clears the record.  Every later character up to the next visit
+    # restarts below the step and ends with the same blocks after it, so
+    # the next visit to find a filled cell ends its character with the
+    # previous character's last ``ends[g][0] - seen[g]`` blocks.  A forced
+    # subtree pushes no choice point, so splicing it in keeps ``seen`` and
+    # ``ends`` valid, and no such splice happens inside one, as the walk
+    # clears ``ends[g]`` when it descends into g.
     #
     # A walk ends in a character or a rejection, and either way the next
     # walk restarts at the last choice point.  ``blocks[:kept] + tail`` is
@@ -388,15 +367,18 @@ def _block_stream(
     # length and empties ``tail``, a restart below ``kept`` moves the
     # blocks between into ``tail``, and a splice checks the blocks it
     # takes from ``tail`` before it cuts them, then yields.  A rejected
-    # walk fills no cell, so after it the records, and ``tail``, still
-    # describe the last character yielded.
+    # walk fills no cell, so after it ``seen``, ``ends`` and ``tail`` still
+    # describe the last character yielded.  Inside a forced subtree, with
+    # no choice point and no splice from ``tail``, a walk pops the
+    # subtree's record step before it can yield, or a rejection drops the
+    # step with ``cont`` and the restart clears ``recording``.
     v, S, i, cont, opened, top = len(children) - 1, 1, 0, None, None, 0
     blocks: list[int] = []
     choices: list = []
     seen = [0] * len(children)
-    entered = [0] * len(children)  # forced allowed sets walked, per vertex
     ends: list[list[int | None] | None] = [None] * len(children)
-    kept, tail, spliced, end = 0, [], 0, [None]
+    forced: dict[tuple[int, int], tuple[list[int], int, int]] = {}  # (v, S): blocks, state, taxa
+    kept, tail, spliced, end, recording = 0, [], 0, [None], False
     append, extend = blocks.append, blocks.extend
     if pruned:
         least: list[tuple[int | None, ...]] = []  # None outside the support
@@ -437,11 +419,11 @@ def _block_stream(
             total, chain = 0, cont
             while chain is not None and chain is not summed[0]:
                 step, chain = chain
-                if len(step) == 2:  # waits for f: g's subtree and the close at u
-                    _, _, S_u, u, case = step[1]
+                if len(step) == 5:  # waits for f: g's subtree and the close at u
+                    _, _, S_u, u, case = step
                     total += option_floor(u, S_u, case)[1]
                 else:  # f's edge open and the edge above cut: the block closes there
-                    total += step[1] > 0 and step[2] == 1
+                    total += step[0] > 0 and step[1] == 1  # a record step adds nothing
             if chain is not None:
                 total += summed[1]
             summed[:] = cont, total
@@ -467,60 +449,64 @@ def _block_stream(
                 while v >= n:  # descend along option i, then first options
                     # Forced: S, which never holds a state outside support[v], is
                     # one state with a count of 1, so no choice is left below v.
-                    if S & unit[v] and not S & (S - 1):
-                        if entered[v] & S:  # walked before: splice it in like a leaf
-                            closed, state, m = collapse(v, S)
+                    # Forced subtrees inside one being recorded are walked with it.
+                    if S & unit[v] and not S & (S - 1) and not recording:
+                        if (v, S) in forced:  # walked before: splice it in like a leaf
+                            closed, state, m = forced[v, S]
                             extend(closed)
-                            start, opened = opened, (m, opened) if state else opened
+                            opened = (m, opened) if state else opened
                             if check is None or not m & m - 1: break  # under two open taxa
                             if not check(m, len(blocks)):
                                 raise _Rejected
                             break
-                        entered[v] |= S
+                        cont, recording = ((len(blocks), (v, S)), cont), True
                     S_f, after_f, later = option(v, S, i)
                     if later >= 0:
                         choices.append((v, S, later, cont, opened, len(blocks)))
                         end = [None]
                         if limit[0] <= n and hopeless(v, S, i, cont, len(blocks)):
                             raise _Rejected
-                    cont = ((opened, after_f), cont)
+                    cont = (after_f, cont)
                     v, S, i = children[v][0], S_f, 0
-                else:  # a leaf's allowed set is one state: 0 (a singleton, S = 1) or 1
-                    state, start, opened = S >> 1, opened, (1 << v, opened)
+                else:  # a leaf's allowed set is one state: 1 (S = 2), or 0 as a singleton at k = 1
+                    if S == 2:
+                        state, opened = 1, (1 << v, opened)
+                    else:
+                        state = 0
+                        append(1 << v)
                 while True:  # finish vertices whose children are both done
-                    if not state and opened is not start:  # a block closes here
-                        m = 0
-                        while opened is not start:
-                            x, opened = opened
-                            m |= x
-                        append(m)
-                    if cont is None or len(cont[0]) == 2:
-                        break
-                    (start, j1, S_u, g), cont = cont
-                    if state:  # an open g: v's edge is cut (S_u = {0}) or open at the sum
-                        state = (state + j1 if state + j1 < k else k) if S_u != 1 else 0
-                        if check is None or not j1 or not state: continue  # no merge here
-                        # f's and g's open blocks merge and stay open.  Each is one
-                        # entry, as every merge below folded its own: fold them too.
-                        x, (y, _) = opened
-                        opened = (x | y, start)
-                        if not check(x | y, len(blocks)):
-                            raise _Rejected
+                    if cont is None or len(cont[0]) != 3:  # the end, f's step or a record step
+                        if cont is None or len(cont[0]) == 5:
+                            break
+                        (count, key), cont = cont  # a forced subtree is done: record it
+                        forced[key] = blocks[count:], state, opened[0] if state else 0
+                        recording = False
                         continue
-                    last = ends[g]
-                    if last is None or last[0] is None:
+                    (j1, S_u, g), cont = cont
+                    if state:  # an open g
+                        if j1:  # f's and g's open blocks merge, and close when u's edge is cut
+                            x, (y, opened) = opened
+                            if S_u == 1:
+                                append(x | y)
+                                state = 0
+                            else:
+                                state = state + j1 if state + j1 < k else k
+                                opened = (x | y, opened)
+                                if check is not None and not check(x | y, len(blocks)):
+                                    raise _Rejected
+                    elif ends[g] is None or ends[g][0] is None:  # g's edge cut: u's takes f's state
                         seen[g], ends[g] = len(blocks), end
                         state = j1
-                        continue
-                    spliced = last[0] - seen[g]
-                    extend(tail[len(tail) - spliced:])
-                    del tail[len(tail) - spliced:]
-                    cont = None
-                    break
+                    else:  # as on g's last visit: splice the rest back
+                        spliced = ends[g][0] - seen[g]
+                        extend(tail[len(tail) - spliced:])
+                        del tail[len(tail) - spliced:]
+                        cont = None
+                        break
                 if cont is None:
                     break
-                (start, (v, g_allowed, S_u, _, _)), cont = cont  # f is done: descend into g
-                cont = ((start, state, S_u, v), cont)
+                (v, g_allowed, S_u, _, _), cont = cont  # f is done: descend into g
+                cont = ((state, S_u, v), cont)
                 S = g_allowed[state]
                 ends[v], i = None, 0
             end[0] = len(blocks)
@@ -535,7 +521,7 @@ def _block_stream(
             tail = blocks[top:kept] + tail
             kept = top
         del blocks[top:]
-        spliced, end = 0, [None]
+        spliced, end, recording = 0, [None], False
 
 
 def _rendered(

@@ -14,10 +14,10 @@ other's state up and two open blocks merge; when both were open and the sum
 reaches k, the block may also close, state 0.  :func:`_dp_tables` applies it
 to whole vectors and :func:`_partners` in mask form, for the enumeration.
 Weighting each block that closes by 2**B packs the DP's entries into B-bit
-fields by block number, and :func:`_least_blocks` reads off the lowest
-nonzero one: the fewest blocks that close below each edge state, a floor on
-the block count of every character below a choice point, where the pruned
-scans of ``solvers`` cut.  The block stream of ``characters`` applies the
+fields by block number, and at k >= 2 :func:`_least_blocks` reads off the
+lowest nonzero one: the fewest blocks that close below each edge state, a
+floor on the block count of every character below a choice point, where
+the pruned scans of ``solvers`` cut.  The block stream of ``characters`` applies the
 rule per pair of child states in min-plus form only to add up those floors
 over one option.  Vectors stop at min(k, taxa below), so the DP's big-int
 work is O(n * k) by the subtree-size argument; a packed entry holds at most
@@ -151,19 +151,21 @@ def _dp_tables(tree: Tree, k: int, weight: int = 1) -> Iterator[tuple[int, Seque
 
 def _least_blocks(tree: Tree, k: int) -> list[tuple[int | None, ...]]:
     """Per vertex and edge state, the fewest blocks that close at or below
-    the vertex, None where the DP's count is 0: the lowest nonzero field of
-    the DP run with ``weight = 2**B``, which packs each entry's counts by
-    block number into B-bit fields.  A field counts partial solutions
-    below a vertex with m <= n taxa below it, each a convex character of
-    those m taxa and a taxon x hung on the edge above, so at k = 1 it is
-    at most F(2n + 1), the k = 1 count on n + 1 taxa.  At k >= 2 every
-    block but x's has at least k >= 2 taxa: when x's block has 2 or more,
-    the partition is a level-2 character of m + 1 taxa, at most F(m) of
-    them; when x is alone, the rest is a level-k character of the m taxa,
-    at most F(m - 1).  So a field is at most F(m + 1) <= F(n + 1), and B
-    bits hold it.  Needs n >= 2."""
-    n = tree.n
-    B = fibonacci(n + 1 if k > 1 else 2 * n + 1).bit_length()
+    the vertex, None where the DP's count is 0.  At k = 1 the taxa below
+    any vertex can be one block: closed on its edge, 1, or open on it, 0.
+    At k >= 2 it is the lowest nonzero field of the DP run with
+    ``weight = 2**B``, which packs each entry's counts by block number
+    into B-bit fields.  A field counts partial solutions below a vertex
+    with m <= n taxa below it, each a convex character of those m taxa
+    and a taxon x hung on the edge above, whose other blocks all have at
+    least k >= 2 taxa: when x's block has 2 or more, the partition is a
+    level-2 character of m + 1 taxa, at most F(m) of them; when x is
+    alone, the rest is a level-k character of the m taxa, at most
+    F(m - 1).  So a field is at most F(m + 1) <= F(n + 1), and B bits
+    hold it.  Needs n >= 2."""
+    if k == 1:
+        return [(1, 0)] * (tree.num_vertices() + 1)
+    B = fibonacci(tree.n + 1).bit_length()
     least: list[tuple[int | None, ...]] = [()] * (tree.num_vertices() + 1)
     for v, vec in _dp_tables(tree, k, 1 << B):
         least[v] = tuple(((x & -x).bit_length() - 1) // B if x else None for x in vec)

@@ -194,7 +194,7 @@ class TestLeastBlocks:
 
     def test_fields_fit_the_packing_width(self):
         """At k >= 2 ``_least_blocks`` packs at F(n + 1) bits, not the
-        F(2n + 1) of k = 1.  On random, caterpillar and fully loaded trees,
+        F(2n + 1) that the fields need at k = 1.  On random, caterpillar and fully loaded trees,
         n = 10..120, every field of every DP entry at its width equals the
         field at F(2n + 1) bits, so none carries into the next, and the
         floors are those read at F(2n + 1) bits.  At n = 120, k = 2 the
@@ -212,6 +212,20 @@ class TestLeastBlocks:
                         want[v] = tuple(
                             ((x & -x).bit_length() - 1) // wide if x else None for x in wide_vec)
                     assert _least_blocks(tree, k) == want, (n, k)
+
+    def test_k1_floors_are_those_of_the_packed_dp(self):
+        """At k = 1 the taxa below any vertex can be one block, closed on
+        its edge or open on it, so ``_least_blocks`` gives 1 and 0 for
+        every vertex without running the DP: the floors read at F(2n + 1)
+        bits, on random, caterpillar and fully loaded trees, n = 2..120."""
+        for n in range(2, 121):
+            wide = fibonacci(2 * n + 1).bit_length()
+            trees = [caterpillar(n)] + ([random_tree(n, seed=n), fully_loaded(n, 3)] if n >= 3 else [])
+            for tree in trees:
+                want = [()] * (tree.num_vertices() + 1)
+                for v, vec in _dp_tables(tree, 1, 1 << wide):
+                    want[v] = tuple(((x & -x).bit_length() - 1) // wide if x else None for x in vec)
+                assert _least_blocks(tree, 1) == want, (n, tree.canonical_newick())
 
 
 def packing_width(tree, k):
@@ -233,9 +247,10 @@ def fields(packed, B):
 
 def counts_by_blocks(tree, k):
     """The top's ``vec[0]`` of the DP run with ``weight = 2**B``, cut into
-    its B-bit fields, B as in ``counting._least_blocks``: at index r, the
-    number of characters with r blocks, if no field overflows."""
-    B = packing_width(tree, k)
+    its B-bit fields, B as in ``counting._least_blocks`` at k >= 2 and
+    F(2n + 1) bits at k = 1, where ``_least_blocks`` runs no DP: at index
+    r, the number of characters with r blocks, if no field overflows."""
+    B = packing_width(tree, k) if k > 1 else fibonacci(2 * tree.n + 1).bit_length()
     for _, vec in _dp_tables(tree, k, 1 << B):
         pass  # the last vector is the top vertex's
     return fields(vec[0], B)
@@ -258,9 +273,10 @@ class TestCountsByBlocks:
     def test_topology_free_identities(self):
         """C(2n - r - 1, r - 1) characters with r blocks at k = 1 and
         C(n - r - 1, r - 1) at k = 2, on every topology, summing to the
-        count, each field at the width ``_least_blocks`` packs at.  At
-        n = 120 the widest field, r = 67 at k = 1, takes 162 of its
-        B = 167 bits, and r = 34 at k = 2 takes 79 of its B = 83."""
+        count, each field at F(2n + 1) bits at k = 1 and at the width
+        ``_least_blocks`` packs at at k = 2.  At n = 120 the widest field,
+        r = 67 at k = 1, takes 162 of its B = 167 bits, and r = 34 at
+        k = 2 takes 79 of its B = 83."""
         for n in (3, 4, 7, 12, 30, 31, 64, 119, 120):
             for tree in (caterpillar(n), random_tree(n, seed=n)):
                 for k, want in (

@@ -236,6 +236,24 @@ def sized_rejects(size_cap, depth_cap):
     return lambda block, depth: depth >= depth_cap or block.bit_count() > size_cap
 
 
+def test_forced_walk_rejected_partway_is_recorded_later():
+    """On fully_loaded(18, 4) at k = 3, with every block at depth 4 or
+    more rejected, the check rejects the first walk of a forced subtree
+    inside it, and 32 later entries splice that subtree in.  The rejected
+    walk drops its record step, a later walk records the subtree, and the
+    stream stays the oracle's.  Its 73 characters read 12 132 line events
+    in ``characters.py``; a stream that kept recording after the
+    rejection gave the same characters but walked every forced subtree
+    from then on, 23 178."""
+    tree, k, rejects = fully_loaded(18, 4), 3, sized_rejects(18, 4)
+    assert_same_stream(tree, k, rejects=rejects)
+    events = line_events(
+        lambda: deque(_block_stream(tree, k, lambda block, depth: not rejects(block, depth)),
+                      maxlen=0),
+        (characters,))
+    assert events <= 1.1 * 12_132, events
+
+
 def salted_pairs(n, salt):
     """One to three pairs of taxon ids, as masks, picked by ``salt``."""
     rng = random.Random(salt)
