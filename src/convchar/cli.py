@@ -31,8 +31,8 @@ from collections.abc import Iterable
 from json.encoder import encode_basestring_ascii
 
 from .characters import _rendered
-from .counting import _decimal_digits, count_convex, rate_table_tsv
-from .trees import Tree, TreeError, parse_newick
+from .counting import _count_text, _decimal_digits, rate_table_tsv
+from .trees import TreeError, parse_newick
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -49,13 +49,16 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _read_trees(path: str) -> list[tuple[int, Tree]]:
+def _read_lines(path: str, read) -> list:
+    """``(line number, read(line))`` for each non-blank line of ``path``,
+    every line read before any is returned; a ``TreeError`` names its
+    line."""
     out = []
     for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            out.append((lineno, parse_newick(line)))
+            out.append((lineno, read(line)))
         except TreeError as exc:
             raise TreeError(f"line {lineno}: {exc}") from None
     if not out:
@@ -100,8 +103,9 @@ def _csv_of(convert):
 
 
 def _cmd_count(args) -> int:
-    for lineno, tree in _read_trees(args.tree_file):
-        print(f"{lineno}\t{tree.n}\t{args.k}\t{_decimal_digits(count_convex(tree, args.k))}")
+    k = args.k
+    for lineno, (n, count) in _read_lines(args.tree_file, lambda line: _count_text(line, k)):
+        print(f"{lineno}\t{n}\t{k}\t{_decimal_digits(count)}")
     return EXIT_OK
 
 
@@ -127,7 +131,7 @@ def _cmd_list(args) -> int:
     else:
         render, start, sep, end = ",".join, "", "|", "\n"
     emitted = 0
-    for _, tree in _read_trees(args.tree_file):
+    for _, tree in _read_lines(args.tree_file, parse_newick):
         names = tree.labels
         if args.format == "json":
             names = tuple(map(encode_basestring_ascii, names))
@@ -190,7 +194,7 @@ def _cmd_solve(args) -> int:
 
     try:
         data = json.loads(_read_text(args.instance))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deep to decode
         raise ValueError(f"instance is not valid JSON: {exc}") from None
     result = solve(SolveInstance.from_json_dict(data))
     print(json.dumps(result.to_json_dict()))

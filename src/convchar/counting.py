@@ -11,8 +11,9 @@ crosses it with j taxa below, j saturating at k, which is sound because only
 "at least k" ever matters.  The edge rule: child edges in states j1 and j2
 put the edge above them in state min(j1 + j2, k), as a cut child passes the
 other's state up and two open blocks merge; when both were open and the sum
-reaches k, the block may also close, state 0.  :func:`_dp_tables` applies it
-to whole vectors and :func:`_partners` in mask form, for the enumeration.
+reaches k, the block may also close, state 0.  :func:`_join_vectors` applies
+it to whole vectors, once per vertex of :func:`_dp_tables`, and
+:func:`_partners` in mask form, for the enumeration.
 Weighting each block that closes by 2**B packs the DP's entries into B-bit
 fields by block number, and at k >= 2 :func:`_least_blocks` reads off the
 lowest nonzero one: the fewest blocks that close below each edge state, a
@@ -22,6 +23,13 @@ rule per pair of child states in min-plus form only to add up those floors
 over one option.  Vectors stop at min(k, taxa below), so the DP's big-int
 work is O(n * k) by the subtree-size argument; a packed entry holds at most
 n/k + 1 fields of B = O(n) bits.
+
+The count depends on the unrooted tree alone, so :func:`_count_text`, which
+the ``count`` command runs, roots it wherever its Newick text is rooted and
+builds no tree: the trees module's token walker hands it each group as it
+closes, and it joins the children's vectors there.  A group of three can
+only be the top, where joining the third vector in as well gives the count;
+a rooted top's two child edges are one edge, whose state 0 is the count.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Iterator, Sequence
 
-from .trees import Tree
+from .trees import Tree, _walk_newick, parse_newick
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -130,23 +138,32 @@ def _dp_tables(tree: Tree, k: int, weight: int = 1) -> Iterator[tuple[int, Seque
             vec = leaf
         else:
             f, g = children[v]
-            vf, vg = vecs[f], vecs[g]
+            vec = _join_vectors(vecs[f], vecs[g], k, cap, weight)
             vecs[f] = vecs[g] = None
-            vec = [0] * (cap[len(vf) + len(vg) - 2] + 1)
-            for j1, x in enumerate(vf):
-                if x:
-                    for s, y in enumerate(vg, j1):
-                        if y:
-                            vec[cap[s]] += x * y
-            if len(vec) > k:  # two open blocks that reach k may also close
-                closing = vec[k]
-                if vf[0] and len(vg) > k:
-                    closing -= vf[0] * vg[k]
-                if vg[0] and len(vf) > k:
-                    closing -= vf[k] * vg[0]
-                vec[0] += closing if weight == 1 else closing * weight
         vecs[v] = vec
         yield v, vec
+
+
+def _join_vectors(vf: Sequence[int], vg: Sequence[int], k: int, cap: list[int],
+                  weight: int) -> list[int]:
+    """The edge rule (module docstring) on whole vectors: the vector of the
+    edge above a vertex whose child edges have the vectors ``vf`` and
+    ``vg``.  ``cap[s]`` is min(s, k) for every sum s of two states; each
+    block that closes here is weighted by ``weight`` (see _dp_tables)."""
+    vec = [0] * (cap[len(vf) + len(vg) - 2] + 1)
+    for j1, x in enumerate(vf):
+        if x:
+            for s, y in enumerate(vg, j1):
+                if y:
+                    vec[cap[s]] += x * y
+    if len(vec) > k:  # two open blocks that reach k may also close
+        closing = vec[k]
+        if vf[0] and len(vg) > k:
+            closing -= vf[0] * vg[k]
+        if vg[0] and len(vf) > k:
+            closing -= vf[k] * vg[0]
+        vec[0] += closing if weight == 1 else closing * weight
+    return vec
 
 
 def _least_blocks(tree: Tree, k: int) -> list[tuple[int | None, ...]]:
@@ -185,6 +202,46 @@ def count_convex(tree: Tree, k: int = 1) -> int:
     for _, vec in _dp_tables(tree, k):
         pass  # the last vector is the top vertex's
     return vec[0]
+
+
+class _GiveUp(Exception):
+    """A text the text count leaves to ``parse_newick``."""
+
+
+def _count_text(text: str, k: int) -> tuple[int, int]:
+    """``(n, count_convex(parse_newick(text), k))`` for ``k >= 1``, read in
+    one pass over the text's tokens with no tree built (module docstring).
+    Where the pass meets what only a full parse reports, a group of more
+    than three, a group of three not at the top or a duplicate label, it
+    gives up and counts ``parse_newick(text)``, which raises that parse's
+    error, the first in its order."""
+    labels: list[str] = []
+    leaf_vec = (1 if k == 1 else 0, 1)
+    cap = [min(s, k) for s in range(2 * k + 1)]
+    root: list[int] = []  # the count, once a group of three has closed
+
+    def leaf(label: str) -> tuple[int, int]:
+        labels.append(label)
+        return leaf_vec
+
+    def group(kids: list) -> list[int]:
+        if root or len(kids) > 3:
+            raise _GiveUp
+        vec = _join_vectors(kids[0], kids[1], k, cap, 1)
+        if len(kids) == 3:
+            root.append(_join_vectors(vec, kids[2], k, cap, 1)[0])
+        return vec
+
+    try:
+        top = _walk_newick(text, leaf, group)
+        if len(set(labels)) != len(labels):
+            raise _GiveUp
+    except _GiveUp:
+        tree = parse_newick(text)
+        return tree.n, count_convex(tree, k)
+    # The top's two child edges are one edge of the unrooted tree, and a
+    # lone leaf's state 0 is 1 exactly when k == 1.
+    return len(labels), root[0] if root else top[0]
 
 
 def _decimal_digits(value: int) -> str:

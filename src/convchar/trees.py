@@ -18,14 +18,18 @@ only valid labels), and the generators check the label lists they are
 given.  ``_assemble``, which every tree is built by, trusts its callers
 and only suppresses degree-2 vertices, numbers and roots.
 
-Newick text is read once.  Its tokens come from ``str.split`` after the
-punctuation is padded with spaces, and one pass over them, in one of five
-states (an item due, after ':', after a group, after an item, after a
-branch length), checks the syntax and builds the parse tree as an
-adjacency, with no lookahead.  ``_assemble`` roots it by a breadth-first
-walk from taxon 0 that orients each vertex by removing from its neighbour
-list the vertex it was found from, and reads ``children`` off the lists
-that are left.
+Newick text is read once, by one token walker, ``_walk_newick``.  Its
+tokens come from ``str.split`` after the punctuation is padded with spaces,
+and one pass over them, in one of five states (an item due, after ':',
+after a group, after an item, after a branch length), checks the syntax
+with no lookahead and folds the text bottom-up through two actions its
+caller passes: one makes a leaf's item from its label, the other a group's
+item from its children's items as the group closes (a unary group is its
+child).  ``parse_newick``'s actions build the parse tree as an adjacency;
+``counting`` counts straight from the text with actions of its own.
+``_assemble`` roots the adjacency by a breadth-first walk from taxon 0
+that orients each vertex by removing from its neighbour list the vertex it
+was found from, and reads ``children`` off the lists that are left.
 
 Taxon subsets are manipulated as Python int bitmasks, bit i == taxon i.
 Trees are immutable; every "modifying" operation returns a new tree, so
@@ -471,13 +475,14 @@ class Tree:
         return Split(self._labels_of(full ^ far), self._labels_of(far))
 
 
-def parse_newick(text: str) -> Tree:
-    """Parse one semicolon-terminated Newick expression into an unrooted
-    binary tree.
-
-    Branch lengths and internal labels are parsed and discarded.  A rooted
-    representation (root of degree 2) is unrooted by suppressing the root;
-    any other internal degree is rejected, after duplicate labels are.
+def _walk_newick(text: str, leaf, group):
+    """Check one semicolon-terminated Newick expression and fold its items
+    bottom-up: ``leaf(label)`` makes the item of a leaf, ``group(kids)`` the
+    item of a group of two or more items, from the list of its children's
+    items in text order, which it may keep.  A unary group "(x)" is x
+    itself, and internal labels and branch lengths are checked and
+    discarded.  Returns the one top item; raises NewickError at the first
+    fault of malformed text, and lets the actions' own exceptions through.
     """
     s = text.strip()
     if not s:
@@ -492,13 +497,8 @@ def parse_newick(text: str) -> Tree:
     # take whitespace to be what str.isspace says it is.
     tokens = s.replace("(", " ( ").replace(")", " ) ").replace(",", " , ")
     tokens = tokens.replace(":", " : ").split()
-    # Parse nodes are numbered as they close, so every neighbour list comes
-    # out ascending: children in text order, then the parent.  A unary group
-    # "(x)" is x itself and gets no node.
-    adj: list[list[int]] = []
-    leaf_labels: dict[int, str] = {}
-    stack: list[list[int]] = []  # children of the enclosing open groups
-    kids: list[int] = []  # children of the innermost one, or the tree
+    stack: list[list] = []  # items of the enclosing open groups
+    kids: list = []  # items of the innermost one, or the top item
     state = _ITEM
     it = iter(tokens)
     for tok in it:
@@ -518,24 +518,16 @@ def parse_newick(text: str) -> Tree:
                 raise NewickError(_NO_LENGTH if state else "empty label before ')'")
             if not stack:
                 raise NewickError("unbalanced ')'")
-            if len(kids) == 1:
-                v = kids[0]
-            else:
-                v = len(adj)
-                for c in kids:
-                    adj[c].append(v)
-                adj.append(kids)
+            item = kids[0] if len(kids) == 1 else group(kids)
             kids = stack.pop()
-            kids.append(v)
+            kids.append(item)
             state = _GROUP
         elif tok == ":":
             if not _GROUP <= state <= _ITEM_DONE:
                 raise NewickError(_NO_LENGTH if state == _COLON else "unexpected ':'")
             state = _COLON
         elif state == _ITEM:
-            kids.append(len(adj))
-            leaf_labels[len(adj)] = tok
-            adj.append([])
+            kids.append(leaf(tok))
             state = _ITEM_DONE
         elif state == _GROUP:
             state = _ITEM_DONE  # internal label, discarded
@@ -555,16 +547,49 @@ def parse_newick(text: str) -> Tree:
         raise NewickError("unbalanced '('")
     if len(kids) != 1:
         raise NewickError("expected a single tree")
+    return kids[0]
 
+
+def parse_newick(text: str) -> Tree:
+    """Parse one semicolon-terminated Newick expression into an unrooted
+    binary tree.
+
+    Branch lengths and internal labels are parsed and discarded.  A rooted
+    representation (root of degree 2) is unrooted by suppressing the root;
+    any other internal degree is rejected, after duplicate labels are.
+    """
+    # Parse nodes are numbered as they close, so every neighbour list comes
+    # out ascending: children in text order, then the parent.
+    adj: list[list[int]] = []
+    leaf_labels: dict[int, str] = {}
+    wide: list[int] = []  # groups of three or more
+
+    def leaf(label: str) -> int:
+        v = len(adj)
+        leaf_labels[v] = label
+        adj.append([])
+        return v
+
+    def group(kids: list[int]) -> int:
+        v = len(adj)
+        for c in kids:
+            adj[c].append(v)
+        adj.append(kids)
+        if len(kids) > 2:
+            wide.append(v)
+        return v
+
+    _walk_newick(text, leaf, group)
     if len(set(leaf_labels.values())) != len(leaf_labels):
         labels = sorted(leaf_labels.values())
         dup = next(b for a, b in zip(labels, labels[1:]) if a == b)
         raise TreeError(f"duplicate taxon label {dup!r}")
     # A leaf has degree 1 and a group one more than its children, save the
-    # root, so a vertex of degree above 3 is exactly a non-binary one.
-    # Report the first met breadth first from the root, the last node to
-    # close; a node's children are its neighbours with smaller ids.
-    if max(map(len, adj)) > 3:
+    # root, so a vertex of degree above 3 is exactly a non-binary one, and
+    # only a wide group can be one.  Report the first met breadth first
+    # from the root, the last node to close; a node's children are its
+    # neighbours with smaller ids.
+    if wide and any(len(adj[v]) > 3 for v in wide):
         order = [len(adj) - 1]
         for v in order:
             order += [u for u in adj[v] if u < v]

@@ -266,6 +266,21 @@ class TestCli:
                 out, err = capsys.readouterr()
                 assert out == "" and err.startswith("error: k must be at least 1"), (mode, k, err)
 
+    def test_solve_too_deep_json(self, tmp_path, capsys):
+        """JSON nested past what the decoder can recurse is reported as
+        invalid input, and the recursion limit is left alone."""
+        limit = sys.getrecursionlimit()
+        inst = tmp_path / "deep.json"
+        depth = 100_000
+        for text in ("[" * depth + "]" * depth, '{"a":' * depth + "1" + "}" * depth):
+            inst.write_text(text)
+            assert main(["solve", str(inst)]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("error: instance is not valid JSON: ")
+            assert err.count("\n") == 1 and "Traceback" not in err
+        assert sys.getrecursionlimit() == limit
+
     def test_stdin_dash(self, tmp_path, capsys, monkeypatch):
         import io
 

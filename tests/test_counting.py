@@ -1,4 +1,5 @@
 import hashlib
+import re
 import tracemalloc
 from collections import Counter
 from math import comb
@@ -27,9 +28,9 @@ from convchar import (
     rate_table_tsv,
     split_recurrence_holds,
 )
-from convchar import counting
+from convchar import TreeError, counting
 from convchar.characters import _block_stream
-from convchar.counting import _dp_tables, _least_blocks, _partners
+from convchar.counting import _count_text, _dp_tables, _least_blocks, _partners
 from convchar.verify import (
     cherry_bound,
     closed_forms,
@@ -39,6 +40,7 @@ from convchar.verify import (
 )
 
 from conftest import join_states
+from test_trees import decorated_newick
 
 
 class TestCountConvex:
@@ -95,6 +97,87 @@ class TestCountConvex:
     @given(seed=st.integers(0, 10 ** 6), n=st.integers(3, 16))
     def test_topology_free_closed_forms(self, seed, n):
         closed_forms([random_tree(n, seed=seed)])
+
+
+# Newick punctuation or one word (a label or a branch length).
+_PIECE = re.compile(r"[(),:;]|[^\s(),:;]+")
+
+
+def text_outcome(text: str, k: int):
+    try:
+        return _count_text(text, k)
+    except TreeError as exc:
+        return type(exc), str(exc)
+
+
+def parse_outcome(text: str, k: int):
+    try:
+        tree = parse_newick(text)
+    except TreeError as exc:
+        return type(exc), str(exc)
+    return tree.n, count_convex(tree, k)
+
+
+def mutated(text: str, draw) -> str:
+    """``text`` with one token deleted, doubled, swapped with the next one
+    or, for a word, replaced by another word of the text, which makes
+    duplicate labels."""
+    spans = [m.span() for m in _PIECE.finditer(text)]
+    i = draw(st.integers(0, len(spans) - 1), label="token")
+    a, b = spans[i]
+    how = draw(st.sampled_from(["delete", "double", "swap", "replace"]), label="how")
+    if how == "delete":
+        return text[:a] + text[b:]
+    if how == "double":
+        return text[:b] + " " + text[a:b] + text[b:]
+    if how == "swap" and i + 1 < len(spans):
+        c, d = spans[i + 1]
+        return text[:a] + text[c:d] + text[b:c] + text[a:b] + text[d:]
+    words = [text[c:d] for c, d in spans if text[c] not in "(),:;"]
+    return text[:a] + draw(st.sampled_from(words), label="word") + text[b:]
+
+
+class TestTextCount:
+    """``_count_text`` reads the count off the Newick text, rooted where
+    the text is rooted, and must give what parsing and counting give, or
+    the same error."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 10 ** 6), n=st.integers(3, 12))
+    def test_decorated_text_counts_as_its_tree(self, data, seed, n):
+        t = random_tree(n, seed=seed)
+        text = decorated_newick(t, data.draw)
+        for k in range(1, 6):
+            assert _count_text(text, k) == (t.n, count_convex(t, k)), (text, k)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 10 ** 6), n=st.integers(3, 8),
+           k=st.integers(1, 5))
+    def test_mutated_text_agrees_with_parse(self, data, seed, n, k):
+        text = mutated(decorated_newick(random_tree(n, seed=seed), data.draw), data.draw)
+        assert text_outcome(text, k) == parse_outcome(text, k), text
+
+    @pytest.mark.parametrize("text", ["(a,b,c);", "((a,b,c));", "(a,(b,c),d)x:1;"])
+    def test_topology_free_counts(self, text):
+        n = parse_newick(text).n
+        assert _count_text(text, 1) == (n, fibonacci(2 * n - 1))
+        assert _count_text(text, 2) == (n, fibonacci(n - 1))
+
+    @pytest.mark.parametrize("text", ["x;", "((x));", "(x,y);", "((x:1,y)z);"])
+    def test_fewer_taxa_than_k(self, text):
+        for k in range(1, 5):
+            assert text_outcome(text, k) == parse_outcome(text, k), (text, k)
+
+    @pytest.mark.parametrize("text", [
+        "((a,b,c),d,e);", "(a,b,(c,d,e));", "((a,b,c),d);", "(((a,b,c)),d);",
+        "(a,a,b);", "((a,b),(c,a));", "(a,b,c,d);", "((a,b),c;", "(a,(b,c)x y,d);",
+    ])
+    def test_errors_are_those_of_the_parse(self, text):
+        with pytest.raises(TreeError) as info:
+            parse_newick(text)
+        with pytest.raises(TreeError) as got:
+            _count_text(text, 2)
+        assert (type(got.value), str(got.value)) == (type(info.value), str(info.value))
 
 
 class TestEdgeRule:
