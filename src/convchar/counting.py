@@ -22,7 +22,11 @@ the pruned scans of ``solvers`` cut.  The block stream of ``characters`` applies
 rule per pair of child states in min-plus form only to add up those floors
 over one option.  Vectors stop at min(k, taxa below), so the DP's big-int
 work is O(n * k) by the subtree-size argument; a packed entry holds at most
-n/k + 1 fields of B = O(n) bits.
+n/k + 1 fields of B = O(n) bits.  At k >= 2 that makes a vector of length
+2 a leaf's (0, 1), and the join takes it as a leaf step: it shifts the
+sibling's vector up one state, saturating at k, with no multiplication,
+where the double loop over states would multiply each entry of O(n) bits
+by the leaf's 1 and so copy it.
 
 The count depends on the unrooted tree alone, so :func:`_count_text`, which
 the ``count`` command runs, roots it wherever its Newick text is rooted and
@@ -149,7 +153,20 @@ def _join_vectors(vf: Sequence[int], vg: Sequence[int], k: int, cap: list[int],
     """The edge rule (module docstring) on whole vectors: the vector of the
     edge above a vertex whose child edges have the vectors ``vf`` and
     ``vg``.  ``cap[s]`` is min(s, k) for every sum s of two states; each
-    block that closes here is weighted by ``weight`` (see _dp_tables)."""
+    block that closes here is weighted by ``weight`` (see _dp_tables).
+
+    At k >= 2 a vector of length 2 is a leaf's (0, 1), as a vector stops
+    at min(k, taxa below), and joining it shifts the other vector up one
+    state, saturating at k; where the result reaches k its state 0 is its
+    state k weighted, the leaf's block closing with the sibling's.  That
+    step does one addition at most and, at weight 1, no multiplication."""
+    if k > 1 and 2 in (len(vf), len(vg)):
+        vec = [0, *(vg if len(vf) == 2 else vf)]
+        if len(vec) > k + 1:
+            vec[k] += vec.pop()
+        if len(vec) > k:
+            vec[0] = vec[k] if weight == 1 else vec[k] * weight
+        return vec
     vec = [0] * (cap[len(vf) + len(vg) - 2] + 1)
     for j1, x in enumerate(vf):
         if x:

@@ -30,7 +30,14 @@ from convchar import (
 )
 from convchar import TreeError, counting
 from convchar.characters import _block_stream
-from convchar.counting import _count_text, _dp_tables, _least_blocks, _partners
+from convchar.counting import (
+    _count_text,
+    _dp_tables,
+    _join_vectors,
+    _joined_children,
+    _least_blocks,
+    _partners,
+)
 from convchar.verify import (
     cherry_bound,
     closed_forms,
@@ -39,7 +46,7 @@ from convchar.verify import (
     two_block_floor,
 )
 
-from conftest import join_states
+from conftest import join_states, line_events
 from test_trees import decorated_newick
 
 
@@ -79,6 +86,18 @@ class TestCountConvex:
         k = data.draw(st.integers(1, n + 1), label="k")
         t = random_tree(n, seed=seed)
         assert count_convex(t, k) == brute_count(t, k)
+
+    def test_leaf_steps_cost_the_same_at_any_k(self):
+        """Every join of a caterpillar has a leaf child, and joining a leaf
+        shifts the sibling's vector up one state at any k.  So the line
+        events of ``counting.py`` for ``count_convex(caterpillar(2000), k)``,
+        46 004 at both k = 2 and k = 10, stay within 1.01 times apart and
+        1.05 times 46 011.  The double loop over states read 75 995 and
+        123 775."""
+        tree = caterpillar(2000)
+        events = {k: line_events(lambda: count_convex(tree, k), (counting,)) for k in (2, 10)}
+        assert events[10] <= 1.01 * events[2], events
+        assert events[10] <= 1.05 * 46_011, events
 
     def test_memory_stays_linear_at_large_k(self):
         """Vectors stop at the taxa below and no join table is built, so a
@@ -209,6 +228,36 @@ class TestEdgeRule:
             for J in range(1 << k + 1):
                 for S in range(1 << k + 1):
                     assert _partners(J, S, k) == self.partners_by_join(J, S, k), (k, J, S)
+
+    def test_vector_join_against_join(self):
+        """``_join_vectors`` on the two child vectors of every internal
+        vertex and the top, as ``_dp_tables`` builds them, on caterpillar,
+        random and fully loaded trees, n = 2..40 and k = 1..8: in both
+        argument orders and at weight 1 and 2**B, B as in
+        ``_least_blocks``, each state is the sum of the products of the
+        pairs of child states that ``join_states`` puts there, weighted
+        where two open blocks close.  A caterpillar joins a leaf at every
+        vertex, the leaf step's shift, saturated or not."""
+        for n in range(2, 41):
+            for k in range(1, 9):
+                trees = [caterpillar(n)] if n < 3 else [caterpillar(n), random_tree(n, seed=n)]
+                if 2 <= k <= n:
+                    trees.append(fully_loaded(n, k))
+                cap = [min(s, k) for s in range(2 * k + 1)]
+                for tree in trees:
+                    children = _joined_children(tree)
+                    for weight in (1, 1 << fibonacci(n + 1).bit_length()):
+                        vecs = dict(_dp_tables(tree, k, weight))
+                        for v in range(n, len(children)):
+                            vf, vg = (vecs[c] for c in children[v])
+                            want = [0] * (min(len(vf) + len(vg) - 2, k) + 1)
+                            for j1, x in enumerate(vf):
+                                for j2, y in enumerate(vg):
+                                    for s in join_states(j1, j2, k):
+                                        closes = s == 0 and j1 and j2
+                                        want[s] += x * y * (weight if closes else 1)
+                            assert _join_vectors(vf, vg, k, cap, weight) == want, (n, k, v)
+                            assert _join_vectors(vg, vf, k, cap, weight) == want, (n, k, v)
 
 
 def stream_floors(tree, k):
