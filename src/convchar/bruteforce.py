@@ -9,6 +9,7 @@ keeps the Bell-number blowup out of reach.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterator, Sequence
 
 from .characters import Character
@@ -51,8 +52,13 @@ def _mask_partitions(n: int, min_block: int) -> Iterator[tuple[int, ...]]:
 def _convex(tree: Tree, masks: Sequence[int]) -> bool:
     """Convexity of a partition of the tree's taxa given as block masks, by
     counting the blocks each internal edge splits: the definition, edge by
-    edge, where ``is_convex`` uses one Fitch pass instead."""
-    for em in tree._internal_edge_masks():
+    edge, where ``is_convex`` uses one Fitch pass instead.
+
+    The internal edges are those above the internal vertices but c0, the
+    first of them (vertex n, see the trees module): c0's edge is taxon 0's
+    leaf edge, which only the block holding taxon 0 can split.  Leaving it
+    out changes no answer and keeps the loop to the edges that can."""
+    for em in islice(tree._below(), tree.n + 1, None):
         crossing = 0
         for bm in masks:
             x = em & bm

@@ -234,7 +234,9 @@ def _count_text(text: str, k: int) -> tuple[int, int]:
     error, the first in its order."""
     labels: list[str] = []
     leaf_vec = (1 if k == 1 else 0, 1)
-    cap = [min(s, k) for s in range(2 * k + 1)]
+    # A vector stops at min(k, taxa below), and a tree has fewer taxa than
+    # its text has characters, so a huge k costs no k-sized table.
+    cap = [min(s, k) for s in range(2 * min(k, len(text)) + 1)]
     root: list[int] = []  # the count, once a group of three has closed
 
     def leaf(label: str) -> tuple[int, int]:

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import count
+from itertools import count, islice
 from typing import Callable, Sequence
 
 from .characters import Character, _block_stream, _parsimony
@@ -133,21 +133,36 @@ class SolveResult:
         }
 
 
-def _restricted_splits(tree: Tree, block: int) -> frozenset[int]:
-    """Nontrivial splits of ``tree`` restricted to the taxa of ``block``,
-    each given by its side without the block's smallest taxon.  Two trees
-    on one taxon set restrict to the same tree on ``block`` exactly when
-    these sets are equal."""
+def _restriction(tree: Tree, block: int) -> tuple[frozenset[int], int]:
+    """``(splits, used)``: what ``block`` restricts to in ``tree`` and which
+    of its edges the block's spanning subtree uses, in one pass over the
+    below-masks of the edges above the internal vertices.
+
+    ``splits`` holds the block's nontrivial restricted splits, each given
+    by its side without the block's smallest taxon; two trees on one taxon
+    set restrict to the same tree on ``block`` exactly when these sets are
+    equal.  ``used`` has bit i set when the block has taxa on both sides of
+    the edge above internal vertex n + i.
+
+    The edges read include the one to taxon 0's child, which is taxon 0's
+    leaf edge in the unrooted tree.  That changes no answer: its split is
+    trivial for every block, and only the block that holds taxon 0 can use
+    it, so it never sets a bit that a disjoint block also sets.
+    """
     low = block & -block
     size = block.bit_count()
-    out = set()
-    for em in tree._internal_edge_masks():
+    splits = set()
+    used, bit = 0, 1
+    for em in islice(tree._below(), tree.n, None):
         side = em & block
-        if side & low:
-            side ^= block
-        if 1 < side.bit_count() < size - 1:
-            out.add(side)
-    return frozenset(out)
+        if side and side != block:
+            used |= bit
+            if side & low:
+                side ^= block
+            if 1 < side.bit_count() < size - 1:
+                splits.add(side)
+        bit <<= 1
+    return frozenset(splits), used
 
 
 def _agreeing_blocks(trees: Sequence[Tree]) -> Callable[[int, int], bool]:
@@ -159,10 +174,12 @@ def _agreeing_blocks(trees: Sequence[Tree]) -> Callable[[int, int], bool]:
     scanned tree, so a character whose blocks all pass is convex on every
     tree and each block restricts alike.
 
-    What a block uses of the other trees is a memo by mask: its internal
-    edges there, one bit per edge, or -1 when its restrictions differ.
-    ``used[d]`` holds the edges of the blocks before depth d, so accepting
-    a block cuts ``used`` back to its depth and no undo log is needed.
+    What a block uses of the other trees is a memo by mask: the edges of
+    its spanning subtree there, n bits per tree, or -1 when its
+    restrictions differ.  A memo miss reads each tree once, through one
+    :func:`_restriction` call.  ``used[d]`` holds the edges of the blocks
+    before depth d, so accepting a block cuts ``used`` back to its depth
+    and no undo log is needed.
 
     The stream also calls ``check`` on the open taxa of a block at depth
     d, the number of live blocks.  It reads ``used[d]``, the edges of
@@ -175,20 +192,18 @@ def _agreeing_blocks(trees: Sequence[Tree]) -> Callable[[int, int], bool]:
     blocks the walk restarted with.
     """
     first, rest = trees[0], trees[1:]
+    n = first.n
     memo: dict[int, int] = {}
     used = [0]
 
     def edges(block: int) -> int:
-        splits = _restricted_splits(first, block)
-        if any(_restricted_splits(t, block) != splits for t in rest):
-            return -1
-        out, bit = 0, 1
-        for t in rest:
-            for em in t._internal_edge_masks():
-                x = em & block
-                if x and x != block:
-                    out |= bit
-                bit <<= 1
+        splits = _restriction(first, block)[0]
+        out = 0
+        for i, t in enumerate(rest):
+            other, u = _restriction(t, block)
+            if other != splits:
+                return -1
+            out |= u << i * n
         return out
 
     def check(block: int, depth: int) -> bool:

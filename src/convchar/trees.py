@@ -196,8 +196,7 @@ class Tree:
     """
 
     __slots__ = (
-        "_labels", "_parent", "_children", "_newick", "_below_masks",
-        "_internal_masks", "_label_ids",
+        "_labels", "_parent", "_children", "_newick", "_below_masks", "_label_ids",
     )
 
     def __init__(
@@ -211,7 +210,6 @@ class Tree:
         self._children = children
         self._newick: str | None = None
         self._below_masks: tuple[int, ...] | None = None
-        self._internal_masks: tuple[int, ...] | None = None
         self._label_ids: dict[str, int] | None = None
 
     # -- basic queries ---------------------------------------------------
@@ -298,23 +296,6 @@ class Tree:
             below[0] = (1 << n) - 1
             self._below_masks = tuple(below)
         return self._below_masks
-
-    def _internal_edge_masks(self) -> tuple[int, ...]:
-        """Below-masks of edges with two internal endpoints.
-
-        Edges incident to a leaf can never carry two crossing blocks, so
-        convexity checks only need these.
-        """
-        if self._internal_masks is None:
-            if self.n < 4:
-                self._internal_masks = ()
-            else:
-                below = self._below()
-                c0 = self._children[0][0]
-                self._internal_masks = tuple(
-                    below[v] for v in range(self.n, len(below)) if v != c0
-                )
-        return self._internal_masks
 
     # -- rendering ---------------------------------------------------------
 

@@ -6,6 +6,8 @@ tree gives, and a bad line must still stop the whole command before
 anything is printed, with ``parse_newick``'s own message.
 """
 
+import tracemalloc
+
 import pytest
 
 from convchar import caterpillar, count_convex, parse_newick, random_tree
@@ -75,3 +77,18 @@ def test_mixed_file_matches_parse_and_count(tmp_path, capsys):
                 tree = parse_newick(line)
                 expected.append(f"{lineno}\t{tree.n}\t{k}\t{count_convex(tree, k)}")
         assert (out.splitlines(), err) == (expected, ""), k
+
+
+def test_huge_k_builds_nothing_k_sized(tmp_path, capsys):
+    """A k far above the taxa reads 0 at once: the join table is bounded by
+    the text, not by k, so the count takes well under 1 MB."""
+    path = tmp_path / "trees.nwk"
+    path.write_text("((a,b),(c,d));\n")
+    tracemalloc.start()
+    try:
+        assert main(["count", str(path), "-k", "1000000000000"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr() == ("1\t4\t1000000000000\t0\n", "")
+    assert peak < 1_000_000, peak

@@ -27,7 +27,7 @@ from convchar import (
 )
 from convchar.bruteforce import _convex
 from convchar.characters import _block_stream, _parsimony
-from convchar.solvers import _agreeing_blocks, _restricted_splits, _scan
+from convchar.solvers import _agreeing_blocks, _restriction, _scan
 from convchar.trees import Split, _decode
 
 
@@ -44,7 +44,7 @@ def restrictions_agree(t1, t2, block):
 
 
 def split_sets_agree(t1, t2, block):
-    return _restricted_splits(t1, block) == _restricted_splits(t2, block)
+    return _restriction(t1, block)[0] == _restriction(t2, block)[0]
 
 
 class TestRestrictedSplits:
@@ -54,7 +54,7 @@ class TestRestrictedSplits:
         abcd, adef = 0b001111, 0b111001
         assert not split_sets_agree(t1, t2, abcd)
         assert split_sets_agree(t1, t2, adef)
-        assert _restricted_splits(t1, abcd) == {0b1100}
+        assert _restriction(t1, abcd)[0] == {0b1100}
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -243,12 +243,20 @@ class TestSolveInstance:
 # The scans as they were before the stream was pruned, kept as the judge of
 # the pruned ones: every character drawn, and each scored in full.
 
-def _agree(trees, masks):
-    """True iff the character is convex on every tree after the first (the
-    scanned one) and each block restricts to the same tree in all of them."""
-    return all(_convex(t, masks) for t in trees[1:]) and all(
-        len({_restricted_splits(t, b) for t in trees}) == 1 for b in masks
-    )
+def _agree(trees):
+    """The judge of one scan over ``trees[0]``: ``agree(masks)`` is True iff
+    the character is convex on every tree after the first (the scanned
+    one) and each block restricts to the same tree in all of them, decided
+    by restricting the trees, once per mask."""
+    alike = {}
+
+    def restricts_alike(block):
+        if block not in alike:
+            alike[block] = all(restrictions_agree(trees[0], t, block) for t in trees[1:])
+        return alike[block]
+
+    return lambda masks: all(_convex(t, masks) for t in trees[1:]) and all(
+        map(restricts_alike, masks))
 
 
 def reference_scan(tree, k, score, first_only=False):
@@ -269,8 +277,10 @@ def reference_scan(tree, k, score, first_only=False):
 
 
 def reference_agreement(t1, t2, k):
+    agree = _agree((t1, t2))
+
     def score(masks, best):
-        if (best is None or len(masks) < best) and _agree((t1, t2), masks):
+        if (best is None or len(masks) < best) and agree(masks):
             return len(masks)
         return None
 
@@ -279,9 +289,10 @@ def reference_agreement(t1, t2, k):
 
 def reference_quartets(trees):
     n = trees[0].n
+    agree = _agree(trees)
 
     def score(masks, best):
-        if 4 * len(masks) == n and _agree(trees, masks):
+        if 4 * len(masks) == n and agree(masks):
             return len(masks)
         return None
 
@@ -369,6 +380,49 @@ def spans_meet(tree, a, b):
     a, b = tree._labels_of(a), tree._labels_of(b)
     return any(a & left and a & right and b & left and b & right
                for left, right in map(Split.sides, tree.splits()))
+
+
+def spanned_sides(tree, block):
+    """The block's used edges above internal vertices, each as its side
+    away from taxon 0: the splits with two or more taxa on that side and
+    taxa of the block on both sides, as ``spans_meet`` reads them."""
+    labels = tree._labels_of(block)
+    return {b for a, b in map(Split.sides, tree.splits()) if len(b) > 1 and labels & a and labels & b}
+
+
+def labels_below(tree, v):
+    """The labels at or below vertex ``v``, by a walk over the children."""
+    out, stack = set(), [v]
+    while stack:
+        u = stack.pop()
+        if tree.is_leaf(u):
+            out.add(tree.labels[u])
+        stack.extend(tree._children[u])
+    return frozenset(out)
+
+
+def used_sides(tree, used):
+    return {labels_below(tree, tree.n + i) for i in range(used.bit_length()) if used >> i & 1}
+
+
+class TestRestrictionEdges:
+    """The ``used`` half of ``_restriction``: bit i is set exactly when the
+    block has taxa on both sides of the split of the edge above internal
+    vertex n + i, taxon 0's leaf edge included."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_small_trees(self, n):
+        t = caterpillar(n)
+        for block in range(1, 1 << n):
+            assert used_sides(t, _restriction(t, block)[1]) == spanned_sides(t, block), block
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 12), seed=st.integers(0, 10 ** 6), data=st.data())
+    def test_matches_split_sides(self, n, seed, data):
+        t = random_tree(n, seed=seed) if n >= 3 else caterpillar(n)
+        block = data.draw(st.integers(1, (1 << n) - 1), label="block")
+        for b in (block, block | 1, block & ~1 or block):
+            assert used_sides(t, _restriction(t, b)[1]) == spanned_sides(t, b), b
 
 
 class TestAgreeingBlocks:
