@@ -28,10 +28,10 @@ block limit: a rejected block ends every character below the last choice
 point, none of them drawn, and a block bound to fail ends the walk where
 it first fails, before the walk enters the subtrees above it.  The limit
 also cuts a branch at its choice point once the blocks closed so far and
-the fewest blocks below the branch and its pending steps reach it, floors
-that the counting DP gives per vertex and edge state when it weights each
-closing block (``counting._least_blocks``), and that the stream adds up
-per option by the edge rule in min-plus form.  Listing passes neither and
+a floor on the blocks below the branch and its pending steps reach it:
+a cut edge closes at least one block at or below it, an open edge none,
+so an option's floor follows from which child edges it cuts and whether
+its two open blocks close, with no table.  Listing passes neither and
 pays one test per walk, per choice point and per merge that leaves a block
 open for them.  ``trees._decode`` is the one way back to labels:
 ``_rendered``, for ``enumerate_convex`` and the CLI's ``list``, looks up
@@ -48,7 +48,7 @@ from functools import cache
 from itertools import compress
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .counting import _dp_tables, _joined_children, _least_blocks, _partners
+from .counting import _dp_tables, _joined_children, _partners
 from .trees import Tree, _decode
 
 R = TypeVar("R")
@@ -275,15 +275,16 @@ def _block_stream(
     means the limit: taxon 0's block closes last, so there are at least
     d + 1 blocks, d + 2 when the block misses taxon 0.  And an option is
     rejected before the walk enters it, at a choice point as the walk
-    pushes it or pops back to it, when the blocks closed so far, the
-    fewest that the option closes at or below its vertex and the fewest
-    that the pending steps add reach the limit.  The per-vertex floors,
-    ``least``, come from one counting DP (``counting._least_blocks``), run
-    at the first test against a limit, so a scan that never has one never
-    pays for them; an option's floor (``option_floor``) is the edge rule in
-    min-plus form over its pairs of child states: each adds its children's
-    floors, plus 1 where two open blocks reach k and close.  Listing, with
-    neither, joins blocks through the live list's own methods.
+    pushes it or pops back to it, when the blocks closed so far and a
+    floor on those that the option and the pending steps close reach the
+    limit.  The floor needs only the option's case: a cut edge closes at
+    least one block at or below it, as the taxa below it end in closed
+    blocks, and an open edge closes none, as they may all be in its open
+    block.  So an option closes at least one block per cut child edge at
+    or below its vertex, one more where two open blocks meet under a cut
+    edge, and a pending f step adds the same for its g and its vertex.
+    Listing, with neither, joins blocks through the live list's own
+    methods.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -340,7 +341,10 @@ def _block_stream(
         later = present & present - 1
         return fs[c], (g, g_open if c & 1 else g_cut, S, v, c), (later & -later).bit_length() - 1
 
-    # Start at the top vertex, whose edge must end cut.  Pending steps in
+    # Start at the top vertex, whose edge must end cut, at its first case:
+    # taxon 0 alone (0), which needs k = 1, or both child edges open (3).
+    # Each walk starts at a case of its vertex, as ``hopeless`` reads the
+    # case, not the first option from it on.  Pending steps in
     # ``cont``: an option's (g, g_allowed, S_u, u, c) waits for f and
     # (j1, S_u, g) for g, where c is the case of u's option and j1 is the
     # state f reached; (count, (v, S)) waits for a forced subtree that is
@@ -372,7 +376,7 @@ def _block_stream(
     # no choice point and no splice from ``tail``, a walk pops the
     # subtree's record step before it can yield, or a rejection drops the
     # step with ``cont`` and the restart clears ``recording``.
-    v, S, i, cont, opened, top = len(children) - 1, 1, 0, None, None, 0
+    v, S, i, cont, opened, top = len(children) - 1, 1, 0 if k == 1 else 3, None, None, 0
     blocks: list[int] = []
     choices: list = []
     seen = [0] * len(children)
@@ -381,53 +385,28 @@ def _block_stream(
     kept, tail, spliced, end, recording = 0, [], 0, [None], False
     append, extend = blocks.append, blocks.extend
     if pruned:
-        least: list[tuple[int | None, ...]] = []  # None outside the support
-
-        @cache  # lives as long as this stream
-        def option_floor(v: int, S: int, c: int) -> tuple[int, int]:
-            """Fewest blocks that close at or below v on v's option from case
-            c on when v's edge is in S, and the fewest of them that close
-            outside f's subtree: in g's or at v.  The edge rule in min-plus
-            form, over the option's pairs of child states (j1 in S_f, j2 in
-            ``g_allowed[j1]``): each adds its children's floors, plus 1 where
-            two open blocks reach k and close at v."""
-            S_f, (g, g_allowed, _, _, _), _ = option(v, S, c)
-            least_f, least_g = least[children[v][0]], least[g]
-            closes = S == 1  # two open blocks close at v when its edge is cut
-            own = rest = n  # no option closes more
-            for j1 in states:
-                if S_f >> j1 & 1:
-                    for j2 in states:
-                        if g_allowed[j1] >> j2 & 1:
-                            cost = least_g[j2] + (closes and j1 > 0 and j2 > 0)
-                            if cost < rest:
-                                rest = cost
-                            if least_f[j1] + cost < own:
-                                own = least_f[j1] + cost
-            return own, rest
-
         summed = [None, 0]  # the chain of pending steps summed last, and its sum
 
-        def hopeless(v: int, S: int, c: int, cont, closed: int) -> bool:
-            """True when every character that takes v's option from case c
-            on, with ``closed`` blocks closed and the pending steps in
-            ``cont``, has at least ``limit[0]`` blocks.  Chains of pending
-            steps share their tails, so a sum stops at the chain summed
-            last."""
-            if not least:
-                least[:] = _least_blocks(tree, k)
+        def hopeless(S: int, c: int, cont, closed: int) -> bool:
+            """True when every character that takes the option of case c at
+            a vertex whose edge is in S, with ``closed`` blocks closed and
+            the pending steps in ``cont``, has at least ``limit[0]`` blocks:
+            a cut child edge closes at least one block at or below it, and
+            two open ones close one at the vertex when its edge is cut.
+            Chains of pending steps share their tails, so a sum stops at the
+            chain summed last."""
             total, chain = 0, cont
             while chain is not None and chain is not summed[0]:
                 step, chain = chain
-                if len(step) == 5:  # waits for f: g's subtree and the close at u
-                    _, _, S_u, u, case = step
-                    total += option_floor(u, S_u, case)[1]
+                if len(step) == 5:  # waits for f: g's cut edge, or the close at u
+                    _, _, S_u, _, case = step
+                    total += (case % 2 == 0) + (case == 3 and S_u == 1)
                 else:  # f's edge open and the edge above cut: the block closes there
                     total += step[0] > 0 and step[1] == 1  # a record step adds nothing
             if chain is not None:
                 total += summed[1]
             summed[:] = cont, total
-            return closed + option_floor(v, S, c)[0] + total >= limit[0]
+            return closed + (c < 2) + (c % 2 == 0) + (c == 3 and S == 1) + total >= limit[0]
 
         def append(block: int) -> None:  # at least len(blocks) + 1 + (not block & 1) blocks
             if len(blocks) + 2 - (block & 1) >= limit[0] or (
@@ -440,7 +419,7 @@ def _block_stream(
                 append(block)
     while True:  # one walk per character or rejection, from the last choice point
         try:
-            if limit[0] <= n and hopeless(v, S, i, cont, top):  # the option popped back to
+            if limit[0] <= n and hopeless(S, i, cont, top):  # the option popped back to
                 later = option(v, S, i)[2]
                 if later >= 0:
                     choices.append((v, S, later, cont, opened, top))
@@ -464,7 +443,7 @@ def _block_stream(
                     if later >= 0:
                         choices.append((v, S, later, cont, opened, len(blocks)))
                         end = [None]
-                        if limit[0] <= n and hopeless(v, S, i, cont, len(blocks)):
+                        if limit[0] <= n and hopeless(S, after_f[4], cont, len(blocks)):
                             raise _Rejected
                     cont = (after_f, cont)
                     v, S, i = children[v][0], S_f, 0

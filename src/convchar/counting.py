@@ -14,19 +14,12 @@ other's state up and two open blocks merge; when both were open and the sum
 reaches k, the block may also close, state 0.  :func:`_join_vectors` applies
 it to whole vectors, once per vertex of :func:`_dp_tables`, and
 :func:`_partners` in mask form, for the enumeration.
-Weighting each block that closes by 2**B packs the DP's entries into B-bit
-fields by block number, and at k >= 2 :func:`_least_blocks` reads off the
-lowest nonzero one: the fewest blocks that close below each edge state, a
-floor on the block count of every character below a choice point, where
-the pruned scans of ``solvers`` cut.  The block stream of ``characters`` applies the
-rule per pair of child states in min-plus form only to add up those floors
-over one option.  Vectors stop at min(k, taxa below), so the DP's big-int
-work is O(n * k) by the subtree-size argument; a packed entry holds at most
-n/k + 1 fields of B = O(n) bits.  At k >= 2 that makes a vector of length
-2 a leaf's (0, 1), and the join takes it as a leaf step: it shifts the
+Vectors stop at min(k, taxa below), so the DP's big-int work is O(n * k)
+by the subtree-size argument.  At k >= 2 that makes a vector of length 2
+a leaf's (0, 1), and the join takes it as a leaf step: it shifts the
 sibling's vector up one state, saturating at k, with no multiplication,
-where the double loop over states would multiply each entry of O(n) bits
-by the leaf's 1 and so copy it.
+where the double loop over states would multiply each entry, of O(n)
+bits, by the leaf's 1 and so copy it.
 
 The count depends on the unrooted tree alone, so :func:`_count_text`, which
 the ``count`` command runs, roots it wherever its Newick text is rooted and
@@ -113,7 +106,7 @@ def _joined_children(tree: Tree) -> tuple[tuple[int, ...], ...]:
     return children + ((children[0][0], 0),)
 
 
-def _dp_tables(tree: Tree, k: int, weight: int = 1) -> Iterator[tuple[int, Sequence[int]]]:
+def _dp_tables(tree: Tree, k: int) -> Iterator[tuple[int, Sequence[int]]]:
     """Per-vertex DP vectors for the edge above each vertex.
 
     Yields ``(v, vec)`` for every vertex, children first in the order of
@@ -124,17 +117,11 @@ def _dp_tables(tree: Tree, k: int, weight: int = 1) -> Iterator[tuple[int, Seque
     part of ``vec[k]`` where both child edges were open.  A vector is
     dropped once its parent's is built.  Shared with the enumeration
     backtracker so listing explores no dead branches.
-
-    Each block that closes multiplies its partial solutions by ``weight``,
-    so an entry is the polynomial in ``weight`` whose coefficient r counts
-    the partial solutions with r closed blocks: counting and listing pass
-    1, :func:`_least_blocks` a power of 2 that keeps the coefficients
-    apart.
     """
     n = tree.n
     children = _joined_children(tree)
     cap = [min(s, k) for s in range(2 * k + 1)]  # sums of two states, saturating
-    leaf = (weight if k == 1 else 0, 1)  # a singleton block needs k == 1
+    leaf = (1 if k == 1 else 0, 1)  # a singleton block needs k == 1
     vecs: list[Sequence[int] | None] = [None] * len(children)
     top = len(children) - 1
     for v in (*range(1, n), *range(top - 1, n - 1, -1), 0, top):
@@ -142,30 +129,28 @@ def _dp_tables(tree: Tree, k: int, weight: int = 1) -> Iterator[tuple[int, Seque
             vec = leaf
         else:
             f, g = children[v]
-            vec = _join_vectors(vecs[f], vecs[g], k, cap, weight)
+            vec = _join_vectors(vecs[f], vecs[g], k, cap)
             vecs[f] = vecs[g] = None
         vecs[v] = vec
         yield v, vec
 
 
-def _join_vectors(vf: Sequence[int], vg: Sequence[int], k: int, cap: list[int],
-                  weight: int) -> list[int]:
+def _join_vectors(vf: Sequence[int], vg: Sequence[int], k: int, cap: list[int]) -> list[int]:
     """The edge rule (module docstring) on whole vectors: the vector of the
     edge above a vertex whose child edges have the vectors ``vf`` and
-    ``vg``.  ``cap[s]`` is min(s, k) for every sum s of two states; each
-    block that closes here is weighted by ``weight`` (see _dp_tables).
+    ``vg``.  ``cap[s]`` is min(s, k) for every sum s of two states.
 
     At k >= 2 a vector of length 2 is a leaf's (0, 1), as a vector stops
     at min(k, taxa below), and joining it shifts the other vector up one
     state, saturating at k; where the result reaches k its state 0 is its
-    state k weighted, the leaf's block closing with the sibling's.  That
-    step does one addition at most and, at weight 1, no multiplication."""
+    state k, the leaf's block closing with the sibling's.  That step does
+    one addition at most and no multiplication."""
     if k > 1 and 2 in (len(vf), len(vg)):
         vec = [0, *(vg if len(vf) == 2 else vf)]
         if len(vec) > k + 1:
             vec[k] += vec.pop()
         if len(vec) > k:
-            vec[0] = vec[k] if weight == 1 else vec[k] * weight
+            vec[0] = vec[k]
         return vec
     vec = [0] * (cap[len(vf) + len(vg) - 2] + 1)
     for j1, x in enumerate(vf):
@@ -179,31 +164,8 @@ def _join_vectors(vf: Sequence[int], vg: Sequence[int], k: int, cap: list[int],
             closing -= vf[0] * vg[k]
         if vg[0] and len(vf) > k:
             closing -= vf[k] * vg[0]
-        vec[0] += closing if weight == 1 else closing * weight
+        vec[0] += closing
     return vec
-
-
-def _least_blocks(tree: Tree, k: int) -> list[tuple[int | None, ...]]:
-    """Per vertex and edge state, the fewest blocks that close at or below
-    the vertex, None where the DP's count is 0.  At k = 1 the taxa below
-    any vertex can be one block: closed on its edge, 1, or open on it, 0.
-    At k >= 2 it is the lowest nonzero field of the DP run with
-    ``weight = 2**B``, which packs each entry's counts by block number
-    into B-bit fields.  A field counts partial solutions below a vertex
-    with m <= n taxa below it, each a convex character of those m taxa
-    and a taxon x hung on the edge above, whose other blocks all have at
-    least k >= 2 taxa: when x's block has 2 or more, the partition is a
-    level-2 character of m + 1 taxa, at most F(m) of them; when x is
-    alone, the rest is a level-k character of the m taxa, at most
-    F(m - 1).  So a field is at most F(m + 1) <= F(n + 1), and B bits
-    hold it.  Needs n >= 2."""
-    if k == 1:
-        return [(1, 0)] * (tree.num_vertices() + 1)
-    B = fibonacci(tree.n + 1).bit_length()
-    least: list[tuple[int | None, ...]] = [()] * (tree.num_vertices() + 1)
-    for v, vec in _dp_tables(tree, k, 1 << B):
-        least[v] = tuple(((x & -x).bit_length() - 1) // B if x else None for x in vec)
-    return least
 
 
 def count_convex(tree: Tree, k: int = 1) -> int:
@@ -246,9 +208,9 @@ def _count_text(text: str, k: int) -> tuple[int, int]:
     def group(kids: list) -> list[int]:
         if root or len(kids) > 3:
             raise _GiveUp
-        vec = _join_vectors(kids[0], kids[1], k, cap, 1)
+        vec = _join_vectors(kids[0], kids[1], k, cap)
         if len(kids) == 3:
-            root.append(_join_vectors(vec, kids[2], k, cap, 1)[0])
+            root.append(_join_vectors(vec, kids[2], k, cap)[0])
         return vec
 
     try:

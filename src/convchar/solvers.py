@@ -14,21 +14,22 @@ on the value of every character with at least b blocks, and whenever the
 incumbent improves ``_scan`` turns it into the stream's limit, the least
 block count whose characters cannot beat the incumbent.  The stream
 applies the limit at each choice point before it walks in, against the
-blocks closed so far plus the fewest blocks below the option and its
-pending steps, floors from the counting DP (``counting._least_blocks``),
-and to each block as it closes.  Agreement's value is its block count, so its floor is b
-and its limit the incumbent.  Its block check (:func:`_agreeing_blocks`),
-the stream's ``check``, also rejects a block that restricts differently
-in the trees or whose spanning subtree in the second tree meets that of a
-block before it.  Both tests are upward-closed, as the stream requires: a
-superset of a failing block restricts differently too, its restriction
-restricting to the block's, and its spanning subtree holds the block's,
-while the blocks before it stay live until it closes.  So the stream
-also offers the check each block while it is open, and a block bound to
-fail is rejected where two open blocks merge into it, before the walk
-enters the subtrees above.  A check on an open block at depth d rewrites
-the check's edge record past d, which the next block accepted at depth d
-rewrites before it is read (see :func:`_agreeing_blocks`).
+blocks closed so far plus a floor on the blocks below the option and its
+pending steps, one per cut edge and one per pair of open blocks that
+close, and to each block as it closes.  Agreement's value is its block
+count, so its floor is b and its limit the incumbent.  Its block check
+(:func:`_agreeing_blocks`), the stream's ``check``, also rejects a block
+that restricts differently in the trees or whose spanning subtree in the
+second tree meets that of a block before it.  Both tests are
+upward-closed, as the stream requires: a superset of a failing block
+restricts differently too, its restriction restricting to the block's,
+and its spanning subtree holds the block's, while the blocks before it
+stay live until it closes.  So the stream also offers the check each
+block while it is open, and a block bound to fail is rejected where two
+open blocks merge into it, before the walk enters the subtrees above.  A
+check on an open block at depth d rewrites the check's edge record past
+d, which the next block accepted at depth d rewrites before it is read
+(see :func:`_agreeing_blocks`).
 
 The objective's floor is the Fitch floor, b - 1 per tree: b blocks score
 at least b - 1 on every tree, with equality exactly when the partition is

@@ -1,9 +1,7 @@
-import hashlib
 import re
 import tracemalloc
 from collections import Counter
 from math import comb
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +15,6 @@ from convchar import (
     count_closed_k1,
     count_closed_k2,
     count_convex,
-    enumerate_convex,
     fibonacci,
     fibonacci_float_check,
     fully_loaded,
@@ -35,7 +32,6 @@ from convchar.counting import (
     _dp_tables,
     _join_vectors,
     _joined_children,
-    _least_blocks,
     _partners,
 )
 from convchar.verify import (
@@ -233,11 +229,10 @@ class TestEdgeRule:
         """``_join_vectors`` on the two child vectors of every internal
         vertex and the top, as ``_dp_tables`` builds them, on caterpillar,
         random and fully loaded trees, n = 2..40 and k = 1..8: in both
-        argument orders and at weight 1 and 2**B, B as in
-        ``_least_blocks``, each state is the sum of the products of the
-        pairs of child states that ``join_states`` puts there, weighted
-        where two open blocks close.  A caterpillar joins a leaf at every
-        vertex, the leaf step's shift, saturated or not."""
+        argument orders, each state is the sum of the products of the
+        pairs of child states that ``join_states`` puts there.  A
+        caterpillar joins a leaf at every vertex, the leaf step's shift,
+        saturated or not."""
         for n in range(2, 41):
             for k in range(1, 9):
                 trees = [caterpillar(n)] if n < 3 else [caterpillar(n), random_tree(n, seed=n)]
@@ -246,178 +241,36 @@ class TestEdgeRule:
                 cap = [min(s, k) for s in range(2 * k + 1)]
                 for tree in trees:
                     children = _joined_children(tree)
-                    for weight in (1, 1 << fibonacci(n + 1).bit_length()):
-                        vecs = dict(_dp_tables(tree, k, weight))
-                        for v in range(n, len(children)):
-                            vf, vg = (vecs[c] for c in children[v])
-                            want = [0] * (min(len(vf) + len(vg) - 2, k) + 1)
-                            for j1, x in enumerate(vf):
-                                for j2, y in enumerate(vg):
-                                    for s in join_states(j1, j2, k):
-                                        closes = s == 0 and j1 and j2
-                                        want[s] += x * y * (weight if closes else 1)
-                            assert _join_vectors(vf, vg, k, cap, weight) == want, (n, k, v)
-                            assert _join_vectors(vg, vf, k, cap, weight) == want, (n, k, v)
-
-
-def stream_floors(tree, k):
-    """The block stream's floors, ``least``: per vertex and edge state, the
-    fewest blocks that close at or below it.  A limit of n tests the limit
-    at once, which builds them, and the one-block character is below it,
-    so the first ``next`` pauses the stream with them in its frame.  Needs
-    2 <= n and k <= n."""
-    stream = _block_stream(tree, k, None, [tree.n])
-    next(stream)
-    return stream.gi_frame.f_locals["least"]
-
-
-class TestLeastBlocks:
-    """The block stream's floors, the edge rule in min-plus form, against
-    the characters themselves."""
-
-    def test_floors_digest(self):
-        """Every floor of 404 streams (``random_tree`` n = 3..16, seeds
-        0..5, and the 2-taxon tree, k = 1..min(5, n)), hashed as recorded
-        when the stream still built them from its own options."""
-        digest = hashlib.sha256()
-        for n in range(2, 17):
-            trees = [caterpillar(2)] if n == 2 else [random_tree(n, seed=s) for s in range(6)]
-            for tree in trees:
-                for k in range(1, min(5, n) + 1):
-                    digest.update(repr(list(stream_floors(tree, k))).encode())
-        assert digest.hexdigest() == (
-            "0944439e9d4b98dfe675a44cf78df4a0e50328bdf05e5395c160927b5d56f724")
-
-    def test_top_is_the_fewest_blocks_of_any_character(self):
-        """The one-block character always exists, so the top vertex's floor
-        with its edge cut is 1 for every k <= n; for k > n the stream is
-        empty."""
-        trees = [caterpillar(n) for n in range(2, 14)]
-        for tree in trees + [random_tree(n, seed=n) for n in range(3, 14)]:
-            for k in range(1, tree.n + 1):
-                assert stream_floors(tree, k)[-1][0] == 1, (tree.canonical_newick(), k)
-            assert list(_block_stream(tree, tree.n + 1, None, [tree.n])) == []
-
-    @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(2, 9), seed=st.integers(0, 2**32))
-    def test_every_vertex_and_state(self, n, seed):
-        """``least[v][s]`` is the fewest blocks inside the taxa B below v
-        over the partial solutions with v's edge in state s.  Those are the
-        convex characters of the tree restricted to B and one taxon x
-        outside it, whose other blocks all hold at least k taxa, with x's
-        block minus x open on v's edge (state 0 when x is alone)."""
-        tree = random_tree(n, seed=seed) if n >= 3 else caterpillar(n)
-        labels, below = tree.labels, tree._below()
-        floors = {k: stream_floors(tree, k) for k in range(1, min(n, 4) + 1)}  # empty for k > n
-        for v in range(1, tree.num_vertices()):
-            inside = [labels[i] for i in range(n) if below[v] >> i & 1]
-            x = labels[0]
-            characters = list(enumerate_convex(tree.restrict(inside + [x]), 1))
-            for k, least in floors.items():
-                want = [None] * (min(len(inside), k) + 1)
-                for ch in characters:
-                    (open_block,) = (b for b in ch.blocks if x in b)
-                    closed = [b for b in ch.blocks if x not in b]
-                    if all(len(b) >= k for b in closed):
-                        s = min(len(open_block) - 1, k)
-                        if want[s] is None or len(closed) < want[s]:
-                            want[s] = len(closed)
-                assert list(least[v]) == want, (v, k)
-
-    def test_fields_fit_the_packing_width(self):
-        """At k >= 2 ``_least_blocks`` packs at F(n + 1) bits, not the
-        F(2n + 1) that the fields need at k = 1.  On random, caterpillar and fully loaded trees,
-        n = 10..120, every field of every DP entry at its width equals the
-        field at F(2n + 1) bits, so none carries into the next, and the
-        floors are those read at F(2n + 1) bits.  At n = 120, k = 2 the
-        widest field takes 79 of its B = 83 bits."""
-        for n in range(10, 121):
-            wide = fibonacci(2 * n + 1).bit_length()
-            for k in (2, 3, 5):
-                for tree in (random_tree(n, seed=n), caterpillar(n), fully_loaded(n, k)):
-                    B = packing_width(tree, k)
-                    assert B == fibonacci(n + 1).bit_length()
-                    want = [()] * (tree.num_vertices() + 1)
-                    for (v, vec), (_, wide_vec) in zip(
-                            _dp_tables(tree, k, 1 << B), _dp_tables(tree, k, 1 << wide)):
-                        assert [fields(x, B) for x in vec] == [fields(x, wide) for x in wide_vec]
-                        want[v] = tuple(
-                            ((x & -x).bit_length() - 1) // wide if x else None for x in wide_vec)
-                    assert _least_blocks(tree, k) == want, (n, k)
-
-    def test_k1_floors_are_those_of_the_packed_dp(self):
-        """At k = 1 the taxa below any vertex can be one block, closed on
-        its edge or open on it, so ``_least_blocks`` gives 1 and 0 for
-        every vertex without running the DP: the floors read at F(2n + 1)
-        bits, on random, caterpillar and fully loaded trees, n = 2..120."""
-        for n in range(2, 121):
-            wide = fibonacci(2 * n + 1).bit_length()
-            trees = [caterpillar(n)] + ([random_tree(n, seed=n), fully_loaded(n, 3)] if n >= 3 else [])
-            for tree in trees:
-                want = [()] * (tree.num_vertices() + 1)
-                for v, vec in _dp_tables(tree, 1, 1 << wide):
-                    want[v] = tuple(((x & -x).bit_length() - 1) // wide if x else None for x in vec)
-                assert _least_blocks(tree, 1) == want, (n, tree.canonical_newick())
-
-
-def packing_width(tree, k):
-    """The field width B of ``counting._least_blocks``, read off the
-    ``weight = 2**B`` it runs the DP with."""
-    with mock.patch.object(counting, "_dp_tables", wraps=_dp_tables) as dp:
-        _least_blocks(tree, k)
-    return dp.call_args.args[2].bit_length() - 1
-
-
-def fields(packed, B):
-    """The B-bit fields of a packed DP entry, lowest first."""
-    out = []
-    while packed:
-        out.append(packed & (1 << B) - 1)
-        packed >>= B
-    return out
-
-
-def counts_by_blocks(tree, k):
-    """The top's ``vec[0]`` of the DP run with ``weight = 2**B``, cut into
-    its B-bit fields, B as in ``counting._least_blocks`` at k >= 2 and
-    F(2n + 1) bits at k = 1, where ``_least_blocks`` runs no DP: at index
-    r, the number of characters with r blocks, if no field overflows."""
-    B = packing_width(tree, k) if k > 1 else fibonacci(2 * tree.n + 1).bit_length()
-    for _, vec in _dp_tables(tree, k, 1 << B):
-        pass  # the last vector is the top vertex's
-    return fields(vec[0], B)
+                    vecs = dict(_dp_tables(tree, k))
+                    for v in range(n, len(children)):
+                        vf, vg = (vecs[c] for c in children[v])
+                        want = [0] * (min(len(vf) + len(vg) - 2, k) + 1)
+                        for j1, x in enumerate(vf):
+                            for j2, y in enumerate(vg):
+                                for s in join_states(j1, j2, k):
+                                    want[s] += x * y
+                        assert _join_vectors(vf, vg, k, cap) == want, (n, k, v)
+                        assert _join_vectors(vg, vf, k, cap) == want, (n, k, v)
 
 
 class TestCountsByBlocks:
-    """The DP with each closing block weighted by 2**B counts the
-    characters by block number, one B-bit field each (Kronecker
-    substitution): the packing that ``_least_blocks`` reads the floors
-    from."""
-
-    def test_fields_are_the_streams_block_counts(self):
-        for n in range(3, 13):
-            for tree in (caterpillar(n), random_tree(n, seed=n)):
-                for k in range(1, 5):
-                    tally = Counter(len(live) for live, _, _ in _block_stream(tree, k))
-                    want = [tally[r] for r in range(max(tally, default=-1) + 1)]
-                    assert counts_by_blocks(tree, k) == want, (tree.canonical_newick(), k)
+    """The block stream counts the characters by block number."""
 
     def test_topology_free_identities(self):
         """C(2n - r - 1, r - 1) characters with r blocks at k = 1 and
         C(n - r - 1, r - 1) at k = 2, on every topology, summing to the
-        count, each field at F(2n + 1) bits at k = 1 and at the width
-        ``_least_blocks`` packs at at k = 2.  At n = 120 the widest field,
-        r = 67 at k = 1, takes 162 of its B = 167 bits, and r = 34 at
-        k = 2 takes 79 of its B = 83."""
-        for n in (3, 4, 7, 12, 30, 31, 64, 119, 120):
+        count: the stream's characters tallied by length, on caterpillar
+        and random trees, n <= 12."""
+        for n in (3, 4, 7, 11, 12):
             for tree in (caterpillar(n), random_tree(n, seed=n)):
                 for k, want in (
-                    (1, [0] + [comb(2 * n - r - 1, r - 1) for r in range(1, n + 1)]),
-                    (2, [0] + [comb(n - r - 1, r - 1) for r in range(1, n // 2 + 1)]),
+                    (1, [comb(2 * n - r - 1, r - 1) for r in range(1, n + 1)]),
+                    (2, [comb(n - r - 1, r - 1) for r in range(1, n // 2 + 1)]),
                 ):
-                    fields = counts_by_blocks(tree, k)
-                    assert fields == want, (tree.canonical_newick(), k)
-                    assert sum(fields) == count_convex(tree, k)
+                    tally = Counter(len(live) for live, _, _ in _block_stream(tree, k))
+                    assert [tally[r] for r in range(1, len(want) + 1)] == want, (
+                        tree.canonical_newick(), k)
+                    assert sum(tally.values()) == sum(want) == count_convex(tree, k)
 
 
 class TestClosedForms:

@@ -347,7 +347,8 @@ def test_growing_blocks_are_cut_where_they_first_fail(n, seed, salt):
 
 
 # A block limit L: the stream loses the characters with L blocks or more,
-# cut at the choice points above them by the DP's least block counts.
+# cut at the choice points above them by the floor of one block per cut
+# edge.
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 12), k=st.integers(1, 4), seed=st.integers(0, 2**32),
@@ -549,3 +550,24 @@ def test_agreement_prunes_the_stream():
         assert 2 * pruned <= drawn, (t1.n, k, drawn, pruned)
         assert fewer * pruned <= drawn, (t1.n, k, drawn, pruned)
         assert pruned <= 1.05 * read, (t1.n, k, pruned)
+
+
+def test_pruned_scan_runs_the_dp_once_for_its_stream(monkeypatch):
+    """A pruned scan's floors need no DP of their own: agreement at k = 3
+    on ``random_tree(24, seed=1)`` against itself with the 13th and 14th
+    names of its canonical Newick swapped runs the counting DP twice, once
+    for the stream's support and once for ``count_convex``, the count it
+    reports as scanned, though the scan sets a limit (a forest of 2)."""
+    runs = []
+
+    def counted(*args):
+        runs.append(args[1])
+        return _dp_tables(*args)
+
+    monkeypatch.setattr(characters, "_dp_tables", counted)
+    monkeypatch.setattr(counting, "_dp_tables", counted)
+    tree = random_tree(24, seed=1)
+    names = re.findall(r"[^(),;]+", tree.canonical_newick())[12:14]
+    res = agreement_forest_min_components(tree, swapped(tree, *map(tree.taxon_id, names)), 3)
+    assert (res.objective_value, res.characters_scanned) == (2, 1056)
+    assert runs == [3, 3]
