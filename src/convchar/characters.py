@@ -38,8 +38,12 @@ open for them.  ``trees._decode`` is the one way back to labels:
 each block a character adds in a memo by mask that lives as long as the
 stream and holds at most 8n renderings, renders only the blocks it
 misses, from names the caller may encode once per tree, and keeps one
-slot per smallest taxon id; a solver decodes its answer.  ``Character``
-objects built from masks go through the trusted ``Character._canonical``.
+slot per smallest taxon id and one for the line's close.  A rendering
+carries what comes before it on the line, the opening for taxon 0's
+block and the separator for the others, and an empty slot holds "", so
+a line is one join over the slots; a solver decodes its answer.
+``Character`` objects built from masks go through the trusted
+``Character._canonical``.
 """
 
 from __future__ import annotations
@@ -505,41 +509,48 @@ def _block_stream(
 
 def _rendered(
     tree: Tree, k: int, render: Callable[[tuple[str, ...]], R], names: Sequence[str] | None = None,
-) -> Iterator[Iterator[R]]:
-    """Per character of ``_block_stream(tree, k)``, ``render`` of each
-    block's tuple of taxon names, in canonical block order (by smallest
-    taxon id).  ``names`` gives each taxon id's name, ``tree.labels`` by
-    default, so a caller can encode every label once per tree.  Each
-    yielded iterator is valid until the next one is requested, and
-    ``render`` must return truthy values.
+    lead: tuple[R, R] = ("", ""), close: R = "",
+) -> Iterator[list[R]]:
+    """Per character of ``_block_stream(tree, k)``, its line as n + 1
+    slots: one per taxon id, in canonical block order (by smallest taxon
+    id), then ``close``.  The slot of a block's smallest taxon holds the
+    block's rendering, what comes before it on the line followed by
+    ``render`` of its tuple of taxon names: ``lead[0]`` (the line's
+    opening) for taxon 0's block, always first, and ``lead[1]`` (the
+    separator) for every other block.  Every other slot holds "", so with
+    string renderings the line is ``"".join`` of the slots, and the set
+    slots are the truthy ones.  ``names`` gives each taxon id's name,
+    ``tree.labels`` by default, so a caller can encode every label once
+    per tree.  The same list is yielded each time, valid until the next
+    one is requested, and ``render`` must return truthy values.
 
-    One slot per taxon id holds the rendering of the block whose smallest
-    taxon it is, or None, so a character clears the slots of the blocks it
-    dropped, fills those of the blocks it added, and its line is the slots
-    that are set.  A memo by block mask keeps renderings for the stream's
-    life, in two generations of at most 4n entries each: a block enters
-    the fresh one, a full fresh generation replaces the old one, and a hit
-    in the old one moves back to the fresh one.  A block that comes back
-    while it is still held is not rendered again, and the memo never holds
-    more than 8n renderings, whatever the number of distinct blocks.
+    A character empties the slots of the blocks it dropped and fills those
+    of the blocks it added.  A memo by block mask keeps renderings for the
+    stream's life, in two generations of at most 4n entries each: a block
+    enters the fresh one, a full fresh generation replaces the old one,
+    and a hit in the old one moves back to the fresh one.  A block that
+    comes back while it is still held is not rendered again, and the memo
+    never holds more than 8n renderings, whatever the number of distinct
+    blocks.
     """
     names = tree.labels if names is None else names
-    slots: list[R | None] = [None] * tree.n
+    slots: list = [""] * tree.n + [close]
     size = 4 * tree.n
     fresh: dict[int, R] = {}
     old: dict[int, R] = {}
+    opening, sep = lead
     for _, dropped, added in _block_stream(tree, k):
         for bm in dropped:
-            slots[(bm & -bm).bit_length() - 1] = None
+            slots[(bm & -bm).bit_length() - 1] = ""
         for bm in added:
             r = fresh.get(bm)
             if r is None:
-                r = old.pop(bm, None) or render(_decode(names, bm))
+                r = old.pop(bm, None) or (opening if bm & 1 else sep) + render(_decode(names, bm))
                 if len(fresh) >= size:
                     old, fresh = fresh, {}
                 fresh[bm] = r
             slots[(bm & -bm).bit_length() - 1] = r
-        yield filter(None, slots)
+        yield slots
 
 
 def enumerate_convex(tree: Tree, k: int = 1) -> Iterator[Character]:
@@ -552,8 +563,8 @@ def enumerate_convex(tree: Tree, k: int = 1) -> Iterator[Character]:
     the stream is single-consumer, but independent streams over the same
     tree are safe.
     """
-    for blocks in _rendered(tree, k, tuple):
-        yield Character._canonical(tuple(blocks))
+    for slots in _rendered(tree, k, tuple, lead=((), ())):
+        yield Character._canonical(tuple(filter(None, slots)))
 
 
 def stream_encoding(tree: Tree, f) -> tuple[int, ...]:

@@ -122,23 +122,26 @@ def _discard(text: str) -> None:
 
 def _cmd_list(args) -> int:
     # Byte-identical to Character.text() and json.dumps(Character.to_lists()):
-    # a label is encoded by the C function json.dumps calls for a str, a
-    # JSON block is _json_line of its encoded labels, a JSON line the
-    # _json_line of its blocks.  One write per line.
+    # a label is encoded by the C function json.dumps calls for a str, and a
+    # JSON block is _json_line of its encoded labels.  Each block's slot
+    # carries what comes before it on the line, the line's opening for
+    # taxon 0's block and the separator for the others, and the last slot
+    # is the line's close, so a line is one join over the slots and one
+    # write.
     write = _discard if sys.stdout is None else sys.stdout.write
     if args.format == "json":
-        render, start, sep, end = _json_line, "[", ", ", "]\n"
+        render, lead, close = _json_line, ("[", ", "), "]\n"
     else:
-        render, start, sep, end = ",".join, "", "|", "\n"
+        render, lead, close = ",".join, ("", "|"), "\n"
     emitted = 0
     for _, tree in _read_lines(args.tree_file, parse_newick):
         names = tree.labels
         if args.format == "json":
             names = tuple(map(encode_basestring_ascii, names))
-        for blocks in _rendered(tree, args.k, render, names):
+        for slots in _rendered(tree, args.k, render, names, lead, close):
             if args.limit is not None and emitted >= args.limit:
                 return EXIT_TRUNCATED
-            write(start + sep.join(blocks) + end)
+            write("".join(slots))
             emitted += 1
     return EXIT_OK
 

@@ -213,10 +213,10 @@ def listed_lines(tree, k, lines=None):
         calls += 1
         return ",".join(names)
 
-    rendered = _rendered(tree, k, render)
-    for blocks, (masks, _, _) in zip(itertools.islice(rendered, lines), _block_stream(tree, k)):
+    rendered = _rendered(tree, k, render, lead=("", "|"))
+    for slots, (masks, _, _) in zip(itertools.islice(rendered, lines), _block_stream(tree, k)):
         want = sorted(masks, key=lambda m: m & -m)
-        assert "|".join(blocks) == "|".join(",".join(sorted(tree._labels_of(m))) for m in want)
+        assert "".join(slots) == "|".join(",".join(sorted(tree._labels_of(m))) for m in want)
         yield calls
 
 
@@ -224,7 +224,7 @@ class TestRendering:
     def test_names_replace_the_labels(self):
         t = random_tree(9, seed=3)
         names = [f"<{label}>" for label in t.labels]
-        got = ["|".join(blocks) for blocks in _rendered(t, 2, ",".join, names)]
+        got = ["|".join(filter(None, slots)) for slots in _rendered(t, 2, ",".join, names)]
         want = [
             "|".join(",".join(f"<{label}>" for label in b) for b in ch.blocks)
             for ch in enumerate_convex(t, 2)

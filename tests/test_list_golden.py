@@ -6,10 +6,11 @@ shows here as a changed digest."""
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
-from convchar import caterpillar, fully_loaded, random_tree
+from convchar import caterpillar, enumerate_convex, fully_loaded, random_tree
 from convchar.cli import main
 
 # (tree, k, --limit, exit code, lines, text digest, JSON digest)
@@ -56,3 +57,79 @@ def test_list_output_digest(name, tmp_path):
         text = out.getvalue()
         assert text.count("\n") == lines, fmt
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, fmt
+
+
+class Writes:
+    """A stdout stand-in that keeps the text of each ``write`` call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def write(self, text):
+        self.calls.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def listed(argv):
+    """``main(argv)``'s exit code and the text of each write to stdout."""
+    out = Writes()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.calls
+
+
+def rendered(ch, fmt):
+    return (ch.text() if fmt == "text" else json.dumps(ch.to_lists())) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("limit", [None, 0, 1, 7, 21, 22])
+def test_list_makes_one_write_per_line(fmt, limit, tmp_path):
+    """Each line of ``list`` is one ``write`` of one newline-terminated
+    line, and nothing is written past ``--limit``."""
+    tree = caterpillar(9)  # 21 characters at k = 2
+    path = tmp_path / "tree.nwk"
+    path.write_text(tree.canonical_newick() + "\n", encoding="utf-8")
+    want = [rendered(ch, fmt) for ch in enumerate_convex(tree, 2)]
+    assert len(want) == 21
+    argv = ["list", str(path), "-k", "2", "--format", fmt]
+    if limit is not None:
+        argv += ["--limit", str(limit)]
+    code, calls = listed(argv)
+    if limit is not None and limit < len(want):
+        assert code == 3
+        want = want[:limit]
+    else:
+        assert code == 0
+    assert calls == want
+    assert all(call.count("\n") == 1 and call.endswith("\n") for call in calls)
+
+
+# Labels that JSON escapes, as in test_bench_cli.LABELS.
+ESCAPED = ('a"b', "c\\d", "é", "Ω", "x", "q")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_list_over_several_trees(fmt, k, tmp_path):
+    """Each tree's lines carry its own names and open afresh: the output of
+    a file of trees is each tree's listing in turn, and ``--limit`` counts
+    lines across trees."""
+    trees = [random_tree(6, seed=5, labels=ESCAPED), caterpillar(7), caterpillar(1),
+             caterpillar(2)]  # a one-taxon tree, and k > n for the last at k = 3
+    path = tmp_path / "trees.nwk"
+    path.write_text("".join(t.canonical_newick() + "\n" for t in trees), encoding="utf-8")
+    per_tree = [[rendered(ch, fmt) for ch in enumerate_convex(t, k)] for t in trees]
+    want = [line for lines in per_tree for line in lines]
+    argv = ["list", str(path), "-k", str(k), "--format", fmt]
+    code, calls = listed(argv)
+    assert code == 0 and "".join(calls) == "".join(want)
+    if fmt == "json":
+        assert "\\u00e9" in calls[0] and '\\"' in calls[0]
+    limit = len(per_tree[0]) + 2  # inside the second tree
+    assert len(per_tree[1]) > 2
+    code, calls = listed(argv + ["--limit", str(limit)])
+    assert code == 3 and calls == want[:limit]
