@@ -36,19 +36,19 @@ pays one test per walk, per choice point and per merge that leaves a block
 open for them.  ``trees._decode`` is the one way back to labels:
 ``_rendered``, for ``enumerate_convex`` and the CLI's ``list``, looks up
 each block a character adds in a memo by mask that lives as long as the
-stream and holds at most 8n renderings, renders only the blocks it
-misses, from names the caller may encode once per tree, and keeps one
-slot per smallest taxon id and one for the line's close.  A rendering
-carries what comes before it on the line, the opening for taxon 0's
-block and the separator for the others, and an empty slot holds "", so
-a line is one join over the slots; a solver decodes its answer.
+stream and is emptied when it holds 8n renderings, calls the caller's
+render on the masks it misses, and keeps one slot per smallest taxon id
+and one for the line's close, an empty slot holding "", so a line is one
+join over the slots.  Names and the line format belong to the caller:
+``enumerate_convex`` decodes label tuples, the CLI renders text or JSON
+lines, and a solver decodes its answer.
 ``Character`` objects built from masks go through the trusted
 ``Character._canonical``.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 from itertools import compress
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -507,48 +507,37 @@ def _block_stream(
         spliced, end, recording = 0, [None], False
 
 
-def _rendered(
-    tree: Tree, k: int, render: Callable[[tuple[str, ...]], R], names: Sequence[str] | None = None,
-    lead: tuple[R, R] = ("", ""), close: R = "",
-) -> Iterator[list[R]]:
+def _rendered(tree: Tree, k: int, render: Callable[[int], R],
+              close: R = "") -> Iterator[list[R]]:
     """Per character of ``_block_stream(tree, k)``, its line as n + 1
     slots: one per taxon id, in canonical block order (by smallest taxon
-    id), then ``close``.  The slot of a block's smallest taxon holds the
-    block's rendering, what comes before it on the line followed by
-    ``render`` of its tuple of taxon names: ``lead[0]`` (the line's
-    opening) for taxon 0's block, always first, and ``lead[1]`` (the
-    separator) for every other block.  Every other slot holds "", so with
-    string renderings the line is ``"".join`` of the slots, and the set
-    slots are the truthy ones.  ``names`` gives each taxon id's name,
-    ``tree.labels`` by default, so a caller can encode every label once
-    per tree.  The same list is yielded each time, valid until the next
-    one is requested, and ``render`` must return truthy values.
+    id), then ``close``.  The slot of a block's smallest taxon holds
+    ``render`` of the block's mask, and every other slot holds "", so a
+    line whose renderings are strings is ``"".join`` of the slots.  The
+    caller's ``render`` decides the names and the format, and it may make
+    a rendering carry what comes before it on the line, as taxon 0's
+    block, always first, is the one whose mask is odd.  The same list is
+    yielded each time, valid until the next one is requested.
 
     A character empties the slots of the blocks it dropped and fills those
     of the blocks it added.  A memo by block mask keeps renderings for the
-    stream's life, in two generations of at most 4n entries each: a block
-    enters the fresh one, a full fresh generation replaces the old one,
-    and a hit in the old one moves back to the fresh one.  A block that
-    comes back while it is still held is not rendered again, and the memo
-    never holds more than 8n renderings, whatever the number of distinct
-    blocks.
+    stream's life and is emptied when it holds 8n of them: a block that
+    comes back while it is held is not rendered again, a missed block
+    costs two hashes of its mask, and the memo never holds more than 8n
+    renderings, whatever the number of distinct blocks.
     """
-    names = tree.labels if names is None else names
     slots: list = [""] * tree.n + [close]
-    size = 4 * tree.n
-    fresh: dict[int, R] = {}
-    old: dict[int, R] = {}
-    opening, sep = lead
+    size = 8 * tree.n
+    memo: dict[int, R] = {}
     for _, dropped, added in _block_stream(tree, k):
         for bm in dropped:
             slots[(bm & -bm).bit_length() - 1] = ""
         for bm in added:
-            r = fresh.get(bm)
+            r = memo.get(bm)
             if r is None:
-                r = old.pop(bm, None) or (opening if bm & 1 else sep) + render(_decode(names, bm))
-                if len(fresh) >= size:
-                    old, fresh = fresh, {}
-                fresh[bm] = r
+                if len(memo) >= size:
+                    memo.clear()
+                r = memo[bm] = render(bm)
             slots[(bm & -bm).bit_length() - 1] = r
         yield slots
 
@@ -563,7 +552,7 @@ def enumerate_convex(tree: Tree, k: int = 1) -> Iterator[Character]:
     the stream is single-consumer, but independent streams over the same
     tree are safe.
     """
-    for slots in _rendered(tree, k, tuple, lead=((), ())):
+    for slots in _rendered(tree, k, partial(_decode, tree.labels)):
         yield Character._canonical(tuple(filter(None, slots)))
 
 

@@ -27,12 +27,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Iterable
 from json.encoder import encode_basestring_ascii
 
 from .characters import _rendered
 from .counting import _count_text, _decimal_digits, rate_table_tsv
-from .trees import TreeError, parse_newick
+from .trees import TreeError, _decode, parse_newick
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -109,12 +108,6 @@ def _cmd_count(args) -> int:
     return EXIT_OK
 
 
-def _json_line(items: Iterable[str]) -> str:
-    """The JSON array of already encoded items, as default ``json.dumps``
-    writes it."""
-    return "[" + ", ".join(items) + "]"
-
-
 def _discard(text: str) -> None:
     """Stand-in write for a closed stdout (``sys.stdout`` is None), which
     drops the text as ``print`` does."""
@@ -122,23 +115,27 @@ def _discard(text: str) -> None:
 
 def _cmd_list(args) -> int:
     # Byte-identical to Character.text() and json.dumps(Character.to_lists()):
-    # a label is encoded by the C function json.dumps calls for a str, and a
-    # JSON block is _json_line of its encoded labels.  Each block's slot
-    # carries what comes before it on the line, the line's opening for
-    # taxon 0's block and the separator for the others, and the last slot
-    # is the line's close, so a line is one join over the slots and one
-    # write.
+    # a JSON label is encoded by the C function json.dumps calls for a str.
+    # A block's rendering carries what comes before it on the line: the
+    # line's opening for taxon 0's block, always first, and the separator
+    # for the others, JSON's brackets between two blocks included.
+    # _rendered's last slot is the line's close, so a line is one join
+    # over the slots and one write.
     write = _discard if sys.stdout is None else sys.stdout.write
     if args.format == "json":
-        render, lead, close = _json_line, ("[", ", "), "]\n"
+        opening, sep, join, close = "[[", "], [", ", ".join, "]]\n"
     else:
-        render, lead, close = ",".join, ("", "|"), "\n"
+        opening, sep, join, close = "", "|", ",".join, "\n"
     emitted = 0
     for _, tree in _read_lines(args.tree_file, parse_newick):
         names = tree.labels
         if args.format == "json":
             names = tuple(map(encode_basestring_ascii, names))
-        for slots in _rendered(tree, args.k, render, names, lead, close):
+
+        def render(bm: int, names: tuple[str, ...] = names) -> str:
+            return (opening if bm & 1 else sep) + join(_decode(names, bm))
+
+        for slots in _rendered(tree, args.k, render, close):
             if args.limit is not None and emitted >= args.limit:
                 return EXIT_TRUNCATED
             write("".join(slots))

@@ -20,6 +20,7 @@ from convchar import (
 )
 from convchar.bruteforce import _convex
 from convchar.characters import _block_stream, _rendered
+from convchar.trees import _decode
 from convchar.verify import enumeration_consistency
 
 
@@ -208,12 +209,12 @@ def listed_lines(tree, k, lines=None):
     calls made so far; the line's text is checked against the block stream."""
     calls = 0
 
-    def render(names):
+    def render(bm):
         nonlocal calls
         calls += 1
-        return ",".join(names)
+        return ("" if bm & 1 else "|") + ",".join(_decode(tree.labels, bm))
 
-    rendered = _rendered(tree, k, render, lead=("", "|"))
+    rendered = _rendered(tree, k, render)
     for slots, (masks, _, _) in zip(itertools.islice(rendered, lines), _block_stream(tree, k)):
         want = sorted(masks, key=lambda m: m & -m)
         assert "".join(slots) == "|".join(",".join(sorted(tree._labels_of(m))) for m in want)
@@ -224,7 +225,8 @@ class TestRendering:
     def test_names_replace_the_labels(self):
         t = random_tree(9, seed=3)
         names = [f"<{label}>" for label in t.labels]
-        got = ["|".join(filter(None, slots)) for slots in _rendered(t, 2, ",".join, names)]
+        got = ["|".join(filter(None, slots))
+               for slots in _rendered(t, 2, lambda bm: ",".join(_decode(names, bm)))]
         want = [
             "|".join(",".join(f"<{label}>" for label in b) for b in ch.blocks)
             for ch in enumerate_convex(t, 2)
@@ -232,7 +234,7 @@ class TestRendering:
         assert got == want and len(got) == count_convex(t, 2)
 
     @pytest.mark.parametrize("tree, k, lines, per_line", [
-        (caterpillar(36), 4, 16493, 0.15),
+        (caterpillar(36), 4, 16493, 0.06),
         (random_tree(20, seed=7), 2, 4181, 0.5),
         (random_tree(12, seed=2), 1, 28657, 0.5),  # more distinct blocks than the memo holds
     ])
@@ -252,7 +254,8 @@ class TestRendering:
         for tree in (random_tree(13, seed=1), caterpillar(13)):
             tracemalloc.start()
             try:
-                for i, blocks in enumerate(_rendered(tree, 1, ",".join), 1):
+                render = lambda bm: ",".join(_decode(tree.labels, bm))
+                for i, blocks in enumerate(_rendered(tree, 1, render), 1):
                     "|".join(blocks)
                     if i == 2000:
                         first = tracemalloc.get_traced_memory()[1]
