@@ -27,13 +27,14 @@ two open blocks merge, and again as it joins a character, and with a
 block limit: a rejected block ends every character below the last choice
 point, none of them drawn, and a block bound to fail ends the walk where
 it first fails, before the walk enters the subtrees above it.  The limit
-also cuts a branch at its choice point once the blocks closed so far and
-a floor on the blocks below the branch and its pending steps reach it:
-a cut edge closes at least one block at or below it, an open edge none,
-so an option's floor follows from which child edges it cuts and whether
-its two open blocks close, with no table.  Listing passes neither and
-pays one test per walk, per choice point and per merge that leaves a block
-open for them.  ``trees._decode`` is the one way back to labels:
+also cuts a branch where the walk pushes its choice point, once the
+blocks closed so far and a floor on the blocks below the branch and its
+pending steps reach it: a cut edge closes at least one block at or below
+it, an open edge none, so an option's floor follows from which child
+edges it cuts and whether its two open blocks close, with no table.
+Listing passes neither and pays one test per choice point and per merge
+that leaves a block open for them.
+``trees._decode`` is the one way back to labels:
 ``_rendered``, for ``enumerate_convex`` and the CLI's ``list``, looks up
 each block a character adds in a memo by mask that lives as long as the
 stream and is emptied when it holds 8n renderings, calls the caller's
@@ -279,16 +280,19 @@ def _block_stream(
     means the limit: taxon 0's block closes last, so there are at least
     d + 1 blocks, d + 2 when the block misses taxon 0.  And an option is
     rejected before the walk enters it, at a choice point as the walk
-    pushes it or pops back to it, when the blocks closed so far and a
-    floor on those that the option and the pending steps close reach the
-    limit.  The floor needs only the option's case: a cut edge closes at
-    least one block at or below it, as the taxa below it end in closed
-    blocks, and an open edge closes none, as they may all be in its open
-    block.  So an option closes at least one block per cut child edge at
-    or below its vertex, one more where two open blocks meet under a cut
-    edge, and a pending f step adds the same for its g and its vertex.
-    Listing, with neither, joins blocks through the live list's own
-    methods.
+    pushes it, when the blocks closed so far and a floor on those that
+    the option and the pending steps close reach the limit.  The floor
+    needs only the option's case: a cut edge closes at least one block at
+    or below it, as the taxa below it end in closed blocks, and an open
+    edge closes none, as they may all be in its open block.  So an option
+    closes at least one block per cut child edge at or below its vertex,
+    one more where two open blocks meet under a cut edge, and a pending f
+    step adds the same for its g and its vertex.  A vertex's last option
+    pushes no choice point, so it is not tested, neither when the walk
+    first takes it nor when it restarts there: the walk goes on into it,
+    its pending steps wait on ``cont``, and the next choice point counts
+    them and the blocks closed on the way.  Listing, with neither, joins
+    blocks through the live list's own methods.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -345,15 +349,13 @@ def _block_stream(
         later = present & present - 1
         return fs[c], (g, g_open if c & 1 else g_cut, S, v, c), (later & -later).bit_length() - 1
 
-    # Start at the top vertex, whose edge must end cut, at its first case:
-    # taxon 0 alone (0), which needs k = 1, or both child edges open (3).
-    # Each walk starts at a case of its vertex, as ``hopeless`` reads the
-    # case, not the first option from it on.  Pending steps in
-    # ``cont``: an option's (g, g_allowed, S_u, u, c) waits for f and
-    # (j1, S_u, g) for g, where c is the case of u's option and j1 is the
-    # state f reached; (count, (v, S)) waits for a forced subtree that is
-    # walked for the first time, ``count`` being the block count when the
-    # walk entered it.
+    # Start at the top vertex, whose edge must end cut, at case 0: ``option``
+    # takes the first case present, taxon 0 alone (0) at k = 1 and both
+    # child edges open (3) at larger k.  Pending steps in ``cont``: an
+    # option's (g, g_allowed, S_u, u, c) waits for f and (j1, S_u, g) for
+    # g, where c is the case of u's option and j1 is the state f reached;
+    # (count, (v, S)) waits for a forced subtree that is walked for the
+    # first time, ``count`` being the block count when the walk entered it.
     #
     # A vertex has one live g step at a time, and the option that made it
     # fixes g's edge cut or open.  With g's edge cut, the open blocks at
@@ -380,7 +382,7 @@ def _block_stream(
     # no choice point and no splice from ``tail``, a walk pops the
     # subtree's record step before it can yield, or a rejection drops the
     # step with ``cont`` and the restart clears ``recording``.
-    v, S, i, cont, opened, top = len(children) - 1, 1, 0 if k == 1 else 3, None, None, 0
+    v, S, i, cont, opened = len(children) - 1, 1, 0, None, None
     blocks: list[int] = []
     choices: list = []
     seen = [0] * len(children)
@@ -391,11 +393,11 @@ def _block_stream(
     if pruned:
         summed = [None, 0]  # the chain of pending steps summed last, and its sum
 
-        def hopeless(S: int, c: int, cont, closed: int) -> bool:
+        def hopeless(S: int, c: int, cont) -> bool:
             """True when every character that takes the option of case c at
-            a vertex whose edge is in S, with ``closed`` blocks closed and
-            the pending steps in ``cont``, has at least ``limit[0]`` blocks:
-            a cut child edge closes at least one block at or below it, and
+            a vertex whose edge is in S, with the live blocks closed and the
+            pending steps in ``cont``, has at least ``limit[0]`` blocks: a
+            cut child edge closes at least one block at or below it, and
             two open ones close one at the vertex when its edge is cut.
             Chains of pending steps share their tails, so a sum stops at the
             chain summed last."""
@@ -410,7 +412,7 @@ def _block_stream(
             if chain is not None:
                 total += summed[1]
             summed[:] = cont, total
-            return closed + (c < 2) + (c % 2 == 0) + (c == 3 and S == 1) + total >= limit[0]
+            return len(blocks) + (c < 2) + (c % 2 == 0) + (c == 3 and S == 1) + total >= limit[0]
 
         def append(block: int) -> None:  # at least len(blocks) + 1 + (not block & 1) blocks
             if len(blocks) + 2 - (block & 1) >= limit[0] or (
@@ -423,11 +425,6 @@ def _block_stream(
                 append(block)
     while True:  # one walk per character or rejection, from the last choice point
         try:
-            if limit[0] <= n and hopeless(S, i, cont, top):  # the option popped back to
-                later = option(v, S, i)[2]
-                if later >= 0:
-                    choices.append((v, S, later, cont, opened, top))
-                raise _Rejected
             while True:
                 while v >= n:  # descend along option i, then first options
                     # Forced: S, which never holds a state outside support[v], is
@@ -447,7 +444,7 @@ def _block_stream(
                     if later >= 0:
                         choices.append((v, S, later, cont, opened, len(blocks)))
                         end = [None]
-                        if limit[0] <= n and hopeless(S, after_f[4], cont, len(blocks)):
+                        if limit[0] <= n and hopeless(S, after_f[4], cont):
                             raise _Rejected
                     cont = (after_f, cont)
                     v, S, i = children[v][0], S_f, 0

@@ -13,10 +13,10 @@ and undrawn.  Each mode hands :func:`_scan` a ``floor(b)``, a lower bound
 on the value of every character with at least b blocks, and whenever the
 incumbent improves ``_scan`` turns it into the stream's limit, the least
 block count whose characters cannot beat the incumbent.  The stream
-applies the limit at each choice point before it walks in, against the
-blocks closed so far plus a floor on the blocks below the option and its
-pending steps, one per cut edge and one per pair of open blocks that
-close, and to each block as it closes.  Agreement's value is its block
+applies the limit at each choice point it pushes, before it walks in,
+against the blocks closed so far plus a floor on the blocks below the
+option and its pending steps, one per cut edge and one per pair of open
+blocks that close, and to each block as it closes.  Agreement's value is its block
 count, so its floor is b and its limit the incumbent.  Its block check
 (:func:`_agreeing_blocks`), the stream's ``check``, also rejects a block
 that restricts differently in the trees or whose spanning subtree in the
@@ -45,9 +45,10 @@ No rejection drops an answer: a rejected character cannot beat the
 incumbent, and ``_scan`` keeps only a strict improvement, so the result,
 ties included, is that of scoring every character in full.  A pruned scan
 decides every character, though it draws fewer, so it reports
-``count_convex`` of the scanned tree as scanned.  The quartet scan stops
-at its first hit and reports how many characters it drew, so it is not
-pruned; it scores through the same block check.
+``count_convex`` of the scanned tree as scanned.  A scan without a floor,
+the quartet mode's, is not pruned: it stops at its first accepted
+character and reports how many characters it drew.  It scores through
+the same block check.
 """
 
 from __future__ import annotations
@@ -221,24 +222,25 @@ def _agreeing_blocks(trees: Sequence[Tree]) -> Callable[[int, int], bool]:
 
 def _scan(
     tree: Tree, k: int, score: Callable, floor: Callable[[int], int] | None = None,
-    check: Callable[[int, int], bool] | None = None, first_only: bool = False,
+    check: Callable[[int, int], bool] | None = None,
 ) -> SolveResult:
-    """Score every level-k convex character of ``tree`` and keep the first
-    one with the lowest value; with ``first_only``, stop at the first
-    accepted one.
+    """Score the level-k convex characters of ``tree``: without ``floor``,
+    stop at the first accepted one; with it, keep the first one with the
+    lowest value.
 
     ``score(masks)`` gets the block masks, a list that the stream reuses
     for the next character, and returns the character's value, or None to
     reject it; only a new incumbent's masks are copied.
 
-    With ``floor(b)``, a lower bound on the value of every character with
-    at least b blocks, the scan prunes the stream (see
-    characters._block_stream): each new incumbent sets the stream's limit
-    to the least b whose floor reaches it, and every block the limit
-    leaves goes on to ``check(block, depth)``, if given, which must be
-    upward-closed and also sees each block while it is open.  A pruned scan
-    still decides every character, so it reports ``count_convex(tree, k)``
-    as scanned; otherwise that is the number of characters drawn.
+    Without a floor, the scan reports the number of characters drawn, up
+    to and including the one it returns.  With ``floor(b)``, a lower
+    bound on the value of every character with at least b blocks, the
+    scan prunes the stream (see characters._block_stream): each new
+    incumbent sets the stream's limit to the least b whose floor reaches
+    it, and every block the limit leaves goes on to ``check(block,
+    depth)``, if given, which must be upward-closed and also sees each
+    block while it is open.  A pruned scan still decides every character,
+    so it reports ``count_convex(tree, k)`` as scanned.
 
     A pruned scan first scores the one-block character, if ``check(whole,
     0)`` passes; a value below ``floor(2)`` is the unique optimum, and then
@@ -261,10 +263,9 @@ def _scan(
         value = score(masks)
         if value is not None and (best_value is None or value < best_value):
             best, best_value = tuple(masks), value
-            if first_only:
+            if limit is None:
                 break
-            if limit is not None:
-                limit[0] = next(b for b in count(1) if floor(b) >= value)
+            limit[0] = next(b for b in count(1) if floor(b) >= value)
     if floor is not None:
         scanned = count_convex(tree, k)
     # Disjoint blocks differ in their first label, so sorting the label
@@ -317,7 +318,7 @@ def quartet_exact_partition(trees: Sequence[Tree]) -> SolveResult:
 
     # Size-4 blocks partition the taxa only when 4 divides n; otherwise an
     # oversized k scans nothing.
-    return _scan(trees[0], 4 if n % 4 == 0 else n + 1, score, first_only=True)
+    return _scan(trees[0], 4 if n % 4 == 0 else n + 1, score)
 
 
 def optimize_objective(

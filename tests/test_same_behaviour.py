@@ -4,11 +4,17 @@ no git history is needed."""
 import hashlib
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from convchar import caterpillar, enumerate_convex, fully_loaded, parse_newick, random_tree
+from convchar import (
+    agreement_forest_min_components, caterpillar, enumerate_convex, fully_loaded, parse_newick,
+    random_tree,
+)
+from convchar.characters import _block_stream, _parsimony
+from convchar.solvers import _agreeing_blocks, _scan
 
 TREE = "((a,b),(c,(d,(e,f))),g);"
 
@@ -41,11 +47,15 @@ def test_digests_of_a_tiny_corpus(same_behaviour, tmp_path):
         ("missing file", ["count", str(tmp_path / "none.nwk")]),
     ]
     listings = [("caterpillar", 5, 2), ("random", 6, 1), ("fully_loaded", 7, 3)]
-    got = same_behaviour.digests(requests, listings)
+    streams = [("random", 8, 1, 3, True)]
+    scans = [("agreement", "random", 9, 2, [2]), ("objective", "caterpillar", 8, 1, [1, 4])]
+    got = same_behaviour.digests(requests, listings, streams, scans)
 
     assert list(got) == [name for name, _ in requests] + [
         "enumerate caterpillar n=5 k=2", "enumerate random n=6 k=1",
-        "enumerate fully_loaded n=7 k=3"]
+        "enumerate fully_loaded n=7 k=3", "stream random n=8 k=1 limit=3 checked",
+        "agreement scan #000 random n=9 k=2 swaps=[2]",
+        "objective scan #001 caterpillar n=8 k=1 swaps=[1, 4]"]
     chars = list(enumerate_convex(parse_newick(TREE), 2))
     assert got["list text"] == sha("0\n" + "".join(ch.text() + "\n" for ch in chars))
     assert got["list json"] == sha(
@@ -57,8 +67,44 @@ def test_digests_of_a_tiny_corpus(same_behaviour, tmp_path):
                           (fully_loaded(7, 3), 3, "fully_loaded n=7 k=3")):
         want = "\n".join(ch.text() for ch in enumerate_convex(tree, k))
         assert got[f"enumerate {name}"] == sha(want)
+
+    # The stream runs at limit 3 under the agreement check against the tree
+    # with the names at canonical positions n // 2 - 1 and n // 2 swapped.
+    tree = random_tree(8, seed=8)
+    other = swap_names(tree, 3)
+    lines, sizes = [], []
+    for live, dropped, added in _block_stream(tree, 1, _agreeing_blocks((tree, other)), [3]):
+        lines.append(f"{live} {dropped} {added}")
+        sizes.append(len(live))
+    assert lines and max(sizes) < 3
+    assert got["stream random n=8 k=1 limit=3 checked"] == sha("\n".join(lines))
+
+    tree = random_tree(9, seed=0)  # a scan's random trees take its index as seed
+    res = agreement_forest_min_components(tree, swap_names(tree, 2), 2)
+    assert got["agreement scan #000 random n=9 k=2 swaps=[2]"] == sha(
+        f"{res.character}\t{res.objective_value}\t{res.characters_scanned}")
+
+    tree = caterpillar(8)
+    trees = (tree, swap_names(swap_names(tree, 1), 4), random_tree(8, seed=2))
+    values = [sum(_parsimony(t, masks) for t in trees)
+              for masks, _, _ in _block_stream(tree, 1) if len(masks) > 1]
+    res = _scan(tree, 1, lambda masks: None if len(masks) == 1 else sum(
+        _parsimony(t, masks) for t in trees), lambda b: 3 * (b - 1))
+    assert res.objective_value == min(values)
+    assert got["objective scan #001 caterpillar n=8 k=1 swaps=[1, 4]"] == sha(
+        f"{res.character}\t{res.objective_value}\t{res.characters_scanned}")
     # The solve result's wall time is stripped, so a second run digests alike.
-    assert same_behaviour.digests(requests, listings) == got
+    assert same_behaviour.digests(requests, listings, streams, scans) == got
+
+
+def swap_names(tree, i):
+    """``tree`` with the names at canonical Newick positions i and i + 1
+    exchanged."""
+    text = tree.canonical_newick()
+    names = re.findall(r"[^(),;]+", text)
+    names[i], names[i + 1] = names[i + 1], names[i]
+    it = iter(names)
+    return parse_newick(re.sub(r"[^(),;]+", lambda _: next(it), text))
 
 
 def test_first_difference_names_the_first_differing_case(same_behaviour):

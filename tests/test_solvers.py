@@ -366,6 +366,24 @@ class TestPrunedScans:
             tree, k,
             lambda masks, best: None if len(masks) == 1 else sum(_parsimony(t, masks) for t in trees))
 
+    def test_scan_without_a_floor_stops_at_its_first_accepted_character(self):
+        """Of the 21 level-2 characters of a random 9-taxon tree, the 3rd
+        scores 5 and the 5th scores 1: a scan without a floor returns the
+        3rd and reports 3 characters scanned, though a later one scores
+        lower."""
+        tree = random_tree(9, seed=3)
+        assert count_convex(tree, 2) == 21
+        drawn = []
+
+        def score(masks):
+            drawn.append(tuple(masks))
+            return {3: 5, 5: 1}.get(len(drawn))
+
+        res = _scan(tree, 2, score)
+        assert (res.objective_value, res.characters_scanned) == (5, 3)
+        assert res.character == Character._canonical(
+            tuple(sorted(_decode(tree.labels, bm) for bm in drawn[2])))
+
     @settings(max_examples=60, deadline=None)
     @given(pair=tree_pairs(st.sampled_from((4, 8, 12, 16)), loaded=True))
     def test_quartets_match_reference(self, pair):
